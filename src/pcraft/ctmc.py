@@ -10,29 +10,38 @@ package needs:
   test.
 * ``transient_distribution``: state distribution at time ``t`` by
   uniformization.  The jump rate is ``q = 1.02 * max |diagonal|``.
-* ``cumulative_occupancy``: expected reward-weighted occupancy time over
-  a finite horizon (availability-style rewards), same machinery.
+* ``cumulative_occupancy`` and ``occupancy_from_each_start``: expected
+  reward-weighted occupancy time over a finite horizon
+  (availability-style rewards), from the initial distribution or from
+  every start state.  Both are one kernel: the first is the initial
+  distribution times the second.
 
-Rates in one model can span microseconds to years, so ``q*t`` can reach
-1e13 and a single Poisson series is hopeless.  The engine therefore
-splits the horizon into ``2**m`` equal subintervals chosen so each
-subinterval carries at most ``_BASE_STEP_EVENTS`` expected jumps, builds
-the subinterval propagator ``M = exp(Q*dt)`` and occupancy integral
-``C = int_0^dt exp(Q*s) ds`` from a short Poisson-weighted series, and
-chains subintervals by repeated squaring::
+Each solve takes one of two routes, whichever a cost model built from
+the chain's own state count, nonzero count and ``q*t`` estimates to be
+cheaper.  The vector series runs one Poisson-weighted series of sparse
+products, about ``q*t`` steps of fixed Python overhead plus the
+nonzeros.  Repeated squaring costs a few dense n x n products instead,
+which wins once ``q*t`` is large against n: rates in one model can span
+microseconds to years, so ``q*t`` can reach 1e13.  It splits the
+horizon into ``2**m`` equal subintervals, each carrying at most
+``_BASE_STEP_EVENTS`` expected jumps, builds the subinterval
+propagator ``M = exp(Q*dt)`` from a short series of sparse products,
+and chains subintervals by squaring::
 
-    M(2t) = M(t) M(t)          C(2t) = C(t) + M(t) C(t)
+    M(2t) = M(t) M(t)          c(2t) = c(t) + M(t) c(t)
 
-All terms are nonnegative, so the squaring never cancels, and the exact
-row-sum identities (``M`` stochastic, ``C`` rows summing to the elapsed
-time) are restored after every level.  Moderate horizons (``q*t`` below
-``_VECTOR_SERIES_LIMIT``) skip the matrix work and run a plain vector
-series instead.
+Occupancy is carried as the n x 2 block ``c = [C r, C 1]``, where
+``C = int_0^dt exp(Q*s) ds`` is never formed.  All terms are
+nonnegative, so the squaring never cancels, and the exact row-sum
+identities (``M`` stochastic, ``C`` rows summing to the elapsed time)
+are restored after every level.  Entries of ``M`` below
+``sqrt(tiny)`` are then flushed to zero, so no product is subnormal.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Tuple
 
@@ -57,10 +66,22 @@ StateLabel = Hashable
 Transition = Tuple[StateLabel, StateLabel, float]
 
 _UNIFORMIZATION_SLACK = 1.02
-_VECTOR_SERIES_LIMIT = 4096.0   # largest q*t solved by a single vector series
 _BASE_STEP_EVENTS = 8.0         # target q*dt for the squaring base step
 _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _PMF_GUARD = 1e-34              # stop the pmf recursion below this (mode-relative)
+_DENSE_BASE_MAX_N = 64          # up to here the base series uses a dense P
+_DENSE_ARRAYS = 3               # n x n float64 arrays squaring holds at once
+_FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
+
+# Route cost model, in seconds.  One series step (Python loop, one sparse
+# product, the vector updates) costs about 10 us plus 2 ns per generator
+# nonzero; a dense matmul runs at about 30 GFLOP/s.  Measured on one
+# OpenBLAS thread of an x86_64 box (2 cores, numpy 2.4, scipy 1.17) by
+# timing the vector series at q*t = 3000 on random chains of 2 to 5000
+# states and dense products at n = 256 to 1040 (32 to 46 GFLOP/s).
+_STEP_S = 10e-6
+_NONZERO_S = 2e-9
+_FLOP_S = 1.0 / 30e9
 
 
 class NotErgodicError(ValueError):
@@ -309,7 +330,9 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     t : float
         Nonnegative time in the generator's rate units.
     tol : float
-        Bound on the uniformization truncation error.
+        Bound on the uniformization truncation error of the vector-series
+        route.  The squaring route ignores it: each of its base steps
+        drops a fixed 1e-15 of Poisson mass.
 
     Returns
     -------
@@ -320,12 +343,9 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
-    qt = q * t
-    if qt <= _VECTOR_SERIES_LIMIT:
-        pi, _ = _vector_series(ctmc, q, t, tol, reward=None)
-        return pi
-    m_mat, _ = _propagator(ctmc, q, t, tol, need_occupancy=False)
-    pi = ctmc.initial @ m_mat
+    if _series_is_cheaper(ctmc, q * t):
+        return _vector_series(ctmc, q, t, tol)
+    pi = ctmc.initial @ _propagator(ctmc, q, t)
     return pi / pi.sum()
 
 
@@ -344,23 +364,16 @@ def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     horizon : float
         Positive horizon in the generator's rate units.
     tol : float
-        Bound on the truncation error relative to ``horizon``.
+        Bound on the truncation error relative to ``horizon`` on the
+        vector-series route.  The squaring route ignores it: each of its
+        base steps drops a fixed 1e-15 of Poisson mass.
 
     Returns
     -------
     float
         Expected accumulated reward (reward units times time units).
     """
-    r = _check_reward(ctmc, reward)
-    _check_time_and_tol(horizon, tol, allow_zero=False)
-    q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
-    if q == 0.0:
-        return float(ctmc.initial @ r) * horizon
-    if q * horizon <= _VECTOR_SERIES_LIMIT:
-        _, cum = _vector_series(ctmc, q, horizon, tol, reward=r)
-        return float(cum)
-    m_mat, c_mat = _propagator(ctmc, q, horizon, tol, need_occupancy=True)
-    return float(ctmc.initial @ (c_mat @ r))
+    return float(ctmc.initial @ _occupancy(ctmc, reward, horizon, tol))
 
 
 def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray, horizon: float,
@@ -371,17 +384,24 @@ def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     deterministic start, but computed in a single pass.  Model families
     that share one generator and differ only in the initial state (node
     pools of different depths, over-provisioning levels) read their whole
-    sweep off this vector.
+    sweep off this vector.  ``tol`` bounds the truncation error relative
+    to ``horizon`` on the vector-series route only; the squaring route
+    drops a fixed 1e-15 of Poisson mass per base step.
     """
+    return _occupancy(ctmc, reward, horizon, tol)
+
+
+def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
+               tol: float) -> np.ndarray:
+    """The one occupancy kernel: ``int_0^horizon exp(Q s) ds @ reward``."""
     r = _check_reward(ctmc, reward)
     _check_time_and_tol(horizon, tol, allow_zero=False)
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if q == 0.0:
         return r * horizon
-    if q * horizon <= _VECTOR_SERIES_LIMIT:
+    if _series_is_cheaper(ctmc, q * horizon):
         return _vector_series_all_starts(ctmc, q, horizon, tol, r)
-    _, c_mat = _propagator(ctmc, q, horizon, tol, need_occupancy=True)
-    return c_mat @ r
+    return _propagator(ctmc, q, horizon, r)
 
 
 def _check_time_and_tol(t: float, tol: float, allow_zero: bool) -> None:
@@ -401,6 +421,26 @@ def _check_reward(ctmc: Ctmc, reward: np.ndarray) -> np.ndarray:
     return r
 
 
+def _series_steps(qt: float) -> float:
+    """Terms of a Poisson(qt) window at tolerance 1e-14 or 1e-15, within a few."""
+    return qt + 8.0 * math.sqrt(qt) + 16.0
+
+
+def _squaring_levels(qt: float) -> int:
+    return max(1, math.ceil(math.log2(qt / _BASE_STEP_EVENTS)))
+
+
+def _series_is_cheaper(ctmc: Ctmc, qt: float) -> bool:
+    """Whether a vector series is estimated to beat repeated squaring."""
+    n = ctmc.n
+    nnz = ctmc.generator.nnz
+    series = _series_steps(qt) * (_STEP_S + _NONZERO_S * nnz)
+    levels = _squaring_levels(qt)
+    base = _series_steps(qt / (1 << levels)) * (_STEP_S + _NONZERO_S * n * nnz)
+    squaring = base + levels * (_STEP_S + 2.0 * n ** 3 * _FLOP_S)
+    return series <= squaring
+
+
 def _weights_and_tails(qt: float, tol: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Poisson window plus tail probabilities P(N > k) for k = 0..right."""
     window = poisson_weights(qt, tol)
@@ -411,86 +451,128 @@ def _weights_and_tails(qt: float, tol: float) -> tuple[int, np.ndarray, np.ndarr
     return window.left, w, tails
 
 
-def _vector_series(ctmc: Ctmc, q: float, t: float, tol: float,
-                   reward: np.ndarray | None) -> tuple[np.ndarray, float]:
+def _uniformized(ctmc: Ctmc, q: float) -> sp.csr_matrix:
+    """Jump matrix ``P = I + Q / q`` of the uniformized chain."""
+    return (sp.identity(ctmc.n, format="csr")
+            + ctmc.generator.multiply(1.0 / q)).tocsr()
+
+
+def _vector_series(ctmc: Ctmc, q: float, t: float, tol: float) -> np.ndarray:
     """Single uniformization series on the initial row vector."""
-    left, w, tails = _weights_and_tails(q * t, min(tol, 1e-14))
+    left, w, _ = _weights_and_tails(q * t, min(tol, 1e-14))
     right = left + len(w) - 1
-    p_t = sp.identity(ctmc.n, format="csr") + ctmc.generator.multiply(1.0 / q)
-    p_from = p_t.T.tocsr()   # x P computed as P^T x
+    p_from = _uniformized(ctmc, q).T.tocsr()   # x P computed as P^T x
 
     x = ctmc.initial.astype(float)
     acc = np.zeros(ctmc.n)
-    cum = 0.0
     for k in range(right + 1):
         if k >= left:
             acc += w[k - left] * x
-        if reward is not None:
-            cum += tails[k] * float(x @ reward)
         if k < right:
             x = p_from @ x
-    pi = acc / acc.sum()
-    if reward is None:
-        return pi, 0.0
-    # Rescale so an all-ones reward integrates to exactly the horizon.
-    return pi, cum * t / tails.sum()
+    return acc / acc.sum()
 
 
 def _vector_series_all_starts(ctmc: Ctmc, q: float, t: float, tol: float,
                               reward: np.ndarray) -> np.ndarray:
     left, w, tails = _weights_and_tails(q * t, min(tol, 1e-14))
     right = left + len(w) - 1
-    p_t = (sp.identity(ctmc.n, format="csr")
-           + ctmc.generator.multiply(1.0 / q)).tocsr()
+    p_t = _uniformized(ctmc, q)
     v = reward.astype(float)
     acc = np.zeros(ctmc.n)
     for k in range(right + 1):
         acc += tails[k] * v
         if k < right:
             v = p_t @ v
+    # Rescale so an all-ones reward integrates to exactly the horizon.
     return acc * (t / tails.sum())
 
 
-def _propagator(ctmc: Ctmc, q: float, t: float, tol: float,
-                need_occupancy: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Dense ``exp(Q t)`` and optionally ``int_0^t exp(Q s) ds`` by squaring."""
+def _propagator(ctmc: Ctmc, q: float, t: float,
+                reward: np.ndarray | None = None) -> np.ndarray:
+    """Repeated squaring: dense ``exp(Q t)``, or ``int_0^t exp(Q s) ds @ reward``.
+
+    With a reward, the occupancy integral ``C`` is never formed: the
+    block ``c = [C r, C 1]`` doubles as ``c += M c`` and is brought back
+    to rows summing to the elapsed time by rescaling ``C r`` by
+    ``dt / C 1``, which is the row renormalisation of ``C`` applied
+    after the product with ``r``.  The last squaring of ``M`` is then
+    not needed.
+    """
     n = ctmc.n
-    qt = q * t
-    levels = max(1, math.ceil(math.log2(qt / _BASE_STEP_EVENTS)))
+    _check_dense_fits(n)
+    levels = _squaring_levels(q * t)
     dt = t / (1 << levels)
 
     left, w, tails = _weights_and_tails(q * dt, _BASE_STEP_TOL)
     if left != 0:  # q*dt <= _BASE_STEP_EVENTS keeps the window anchored at zero
         raise AssertionError("base uniformization window lost its head")
     right = len(w) - 1
-    p_step = np.eye(n) + ctmc.generator.toarray() / q
+    if n <= _DENSE_BASE_MAX_N:
+        p_step = np.eye(n) + ctmc.generator.toarray() / q
+    else:
+        p_step = _uniformized(ctmc, q)
 
+    # M(dt) sums P^k weighted by the Poisson pmf, c(dt) sums P^k [r, 1]
+    # weighted by the Poisson tails.
     power = np.eye(n)
     m_mat = np.zeros((n, n))
-    c_mat = np.zeros((n, n)) if need_occupancy else None
+    if reward is not None:
+        u = np.column_stack([reward, np.ones(n)])
+        c = np.zeros((n, 2))
     for k in range(right + 1):
         m_mat += w[k] * power
-        if c_mat is not None:
-            c_mat += (tails[k] / q) * power
+        if reward is not None:
+            c += (tails[k] / q) * u
         if k < right:
-            power = power @ p_step
+            power = p_step @ power
+            if reward is not None:
+                u = p_step @ u
+    del power   # free it before the squaring allocates
+    _renormalize(m_mat)
 
-    _normalize_rows(m_mat, 1.0)
-    if c_mat is not None:
-        _normalize_rows(c_mat, dt)
-    for _ in range(levels):
-        if c_mat is not None:
-            c_mat += m_mat @ c_mat
-        m_mat = m_mat @ m_mat
+    if reward is None:
+        for _ in range(levels):
+            m_mat = m_mat @ m_mat
+            _renormalize(m_mat)
+        return m_mat
+
+    _rescale_occupancy(c, dt)
+    for level in range(levels):
+        c += m_mat @ c
         dt *= 2.0
-        _normalize_rows(m_mat, 1.0)
-        if c_mat is not None:
-            _normalize_rows(c_mat, dt)
-    return m_mat, c_mat
+        _rescale_occupancy(c, dt)
+        if level + 1 < levels:
+            m_mat = m_mat @ m_mat
+            _renormalize(m_mat)
+    return c[:, 0]
 
 
-def _normalize_rows(mat: np.ndarray, target: float) -> None:
-    sums = mat.sum(axis=1, keepdims=True)
-    np.divide(mat, sums, out=mat)
-    if target != 1.0:
-        mat *= target
+def _renormalize(mat: np.ndarray) -> None:
+    """Rows back to sum one, then entries below ``_FLUSH`` to zero.
+
+    No product of two kept entries is then subnormal, which would slow
+    the next squaring several times over; the mass dropped is at most
+    ``n * _FLUSH`` per row.
+    """
+    mat /= mat.sum(axis=1, keepdims=True)
+    mat[mat < _FLUSH] = 0.0
+
+
+def _rescale_occupancy(c: np.ndarray, elapsed: float) -> None:
+    c[:, 0] *= elapsed / c[:, 1]
+    c[:, 1] = elapsed
+
+
+def _check_dense_fits(n: int) -> None:
+    """Refuse a squaring solve whose dense arrays exceed physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf: cannot tell
+        return
+    needed = _DENSE_ARRAYS * 8 * n * n
+    if needed > physical:
+        raise ValueError(
+            f"a {n}-state chain needs about {needed / 1e9:.0f} GB for dense "
+            f"repeated squaring, more than the {physical / 1e9:.0f} GB of "
+            f"physical memory; lower search_cap or extra_nodes")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pcraft.cli import main
+from pcraft.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,6 +64,31 @@ class TestExitCodes:
              "--latency-threshold-ms", "1e-9"], capsys)
         assert code == 1
         assert "latency threshold" in err
+
+    def test_back_to_back_calls_match_fresh_ones(self, tmp_path, capsys):
+        # The parser is built once per process; options given to one call
+        # (simulate --seed) must not leak into the next.
+        cfg = write_cfg(tmp_path, """
+            technique = ARA
+            deployment = cloud
+            node_variant = native
+            replications = 40
+        """)
+        calls = [
+            ["simulate", "--config", cfg, "--replications", "20", "--seed", "9"],
+            ["avail", "--config", cfg],
+            ["simulate", "--config", cfg],
+            ["plan", "--bogus"],
+            ["--help"],
+        ]
+        back_to_back = [run(argv, capsys) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert back_to_back == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+        assert rows_of(fresh[2][1])[1][9:11] == ["40", "0"]
 
 
 class TestPlan:

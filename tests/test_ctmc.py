@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.stats
 
+from pcraft.availability import AvailRates, ClusterSpec, build_availability_model
 from pcraft.ctmc import (
+    Ctmc,
     NotErgodicError,
+    _propagator,
+    _series_is_cheaper,
+    _vector_series,
+    _vector_series_all_starts,
     build_ctmc,
     cumulative_occupancy,
     indicator_reward,
@@ -19,7 +28,7 @@ from pcraft.ctmc import (
     steady_state,
     transient_distribution,
 )
-from pcraft.units import YEAR
+from pcraft.units import HOUR, YEAR
 
 # Closed-form oracle values, frozen.
 PI_UP_12PY_30MIN = 0.9993160054719562    # rho/(lam+rho), lam=12/yr, rho=1/1800s
@@ -335,6 +344,115 @@ class TestOccupancyFromEachStart:
         ones = np.ones(3)
         vec = occupancy_from_each_start(chain, ones, YEAR)
         assert np.allclose(vec, YEAR, rtol=1e-9)
+
+
+class TestOccupancyKernel:
+    """The two solver routes, the choice between them, and the old engine."""
+
+    @pytest.mark.parametrize("n", [2, 9, 30, 80])
+    def test_series_and_squaring_routes_agree(self, n):
+        rng = np.random.default_rng(n)
+        chain = random_generator_chain(rng, n)
+        reward = rng.uniform(0.0, 1.0, size=n)
+        q = 1.02 * float(chain.exit_rates.max())
+        for qt in (50.0, 700.0, 3000.0):
+            t = qt / q
+            series = _vector_series_all_starts(chain, q, t, 1e-10, reward)
+            squaring = _propagator(chain, q, t, reward)
+            assert np.max(np.abs(series - squaring)) <= 1e-12 * t
+            pi_series = _vector_series(chain, q, t, 1e-10)
+            pi_squaring = chain.initial @ _propagator(chain, q, t)
+            assert np.max(np.abs(pi_series - pi_squaring)) <= 1e-12
+
+    def test_route_follows_cost_not_a_fixed_qt(self):
+        # On-premises ARA at 6 crashes/yr, base 10, 1000 extras: a sparse
+        # pure death chain whose series is far cheaper than squaring.
+        ara = build_availability_model(
+            ClusterSpec("ARA", "on-premises", num=10, op=1000),
+            AvailRates(6.0, 1.0 / 15.0)).ctmc
+        qt = 1.02 * float(ara.exit_rates.max()) * YEAR
+        assert ara.n == 1011 and qt == pytest.approx(6181.2)
+        assert _series_is_cheaper(ara, qt)
+        # One cloud node at 6 crashes/yr, 1800 s recovery, 1947.5 h: the
+        # series would take ~4500 Python steps against a few tiny squarings.
+        node = build_availability_model(
+            ClusterSpec("PF", "cloud", num=1), AvailRates(6.0, 1.0 / 1800.0)).ctmc
+        qt = 1.02 * float(node.exit_rates.max()) * 1947.5 * HOUR
+        assert node.n == 2 and qt == pytest.approx(3972.9)
+        assert not _series_is_cheaper(node, qt)
+
+    def test_cumulative_is_initial_times_each_start(self):
+        rng = np.random.default_rng(3)
+        for n, rate_scale in ((6, 1.0), (40, 1e4)):
+            chain = random_generator_chain(rng, n, rate_scale)
+            initial = rng.dirichlet(np.ones(n))
+            chain = Ctmc(chain.states, chain.generator, initial)
+            reward = rng.uniform(0.0, 1.0, size=n)
+            for horizon in (3.0, 1e3):
+                assert cumulative_occupancy(chain, reward, horizon) == float(
+                    initial @ occupancy_from_each_start(chain, reward, horizon))
+
+    # Downtime shares 1 - occupancy/T of the repeated-squaring engine that
+    # used a dense occupancy matrix and switched routes at q*t = 4096.
+    # On-premises PF, num 15, 6 crashes/yr, 2700 h, from (15, extra):
+    OLD_PF_DOWNTIME = {
+        (16, 15): (0.9639259259259588, 0.6753453907114462, 0.38761258285986044),
+        (16, 60): (0.9639259259259588, 0.6753799545243534, 0.38768171236544235),
+        (16, 1800): (0.9639259259259588, 0.676712659442275, 0.39034756100171597),
+        (32, 15): (0.9639259259259588, 0.38761258285986033, 0.01706615226763153),
+        (32, 60): (0.9639259259259588, 0.38768171236544235, 0.017189674314248338),
+        (32, 1800): (0.9639259259259588, 0.39034756100171597, 0.02195250633023027),
+    }
+    # On-premises ARA, num 10, 1000 extras, 6 crashes/yr, one year, from
+    # 10 + extra live nodes for extra = 0, 500, 1000.
+    OLD_ARA_DOWNTIME = (0.9833333333333333, 0.33606031445451623, 0.22226434670327488)
+
+    @pytest.mark.parametrize("pool, recovery_s", sorted(OLD_PF_DOWNTIME))
+    def test_pf_family_matches_old_engine(self, pool, recovery_s):
+        model = build_availability_model(
+            ClusterSpec("PF", "on-premises", num=15, pool=pool),
+            AvailRates(6.0, 1.0 / recovery_s))
+        horizon = 2700 * HOUR
+        occ = occupancy_from_each_start(model.ctmc, model.up_reward, horizon)
+        got = [1.0 - occ[model.ctmc.index_of((15, extra))] / horizon
+               for extra in (0, pool // 2, pool)]
+        assert model.ctmc.n == 16 * (pool + 1)
+        assert got == pytest.approx(self.OLD_PF_DOWNTIME[pool, recovery_s], rel=1e-8)
+
+    def test_ara_family_matches_old_engine(self):
+        model = build_availability_model(
+            ClusterSpec("ARA", "on-premises", num=10, op=1000),
+            AvailRates(6.0, 1.0 / 15.0))
+        occ = occupancy_from_each_start(model.ctmc, model.up_reward, YEAR)
+        got = [1.0 - occ[model.ctmc.index_of(10 + extra)] / YEAR
+               for extra in (0, 500, 1000)]
+        assert got == pytest.approx(self.OLD_ARA_DOWNTIME, rel=1e-8)
+
+    def test_squaring_refuses_chains_beyond_physical_memory(self):
+        # A 200,000-state birth-death chain at q*t ~ 1e15 goes to squaring,
+        # whose dense arrays would take about 1 TB.  It must be refused
+        # before anything that size is allocated.
+        n = 200_000
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 3 * 8 * n * n > physical
+        up = np.ones(n - 1)
+        off = scipy.sparse.diags([up, up], [1, -1], format="csr")
+        gen = (off - scipy.sparse.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+        initial = np.zeros(n)
+        initial[0] = 1.0
+        chain = Ctmc(tuple(range(n)), gen, initial)
+        horizon = 1e15 / (1.02 * 2.0)
+        assert not _series_is_cheaper(chain, 1e15)
+        tracemalloc.start()
+        try:
+            for solve in (lambda: occupancy_from_each_start(chain, initial, horizon),
+                          lambda: transient_distribution(chain, horizon)):
+                with pytest.raises(ValueError, match=r"200000-state.*GB.*search_cap"):
+                    solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 def _transitions_of(chain):
