@@ -37,11 +37,8 @@ from .ctmc import (
     transient_distribution,
 )
 from .integrity import (
-    TRANSIENT_SPLITS,
-    VARIANTS,
     IntegrityRates,
     IntegrityReport,
-    TransientSplit,
     build_integrity_model,
     derive_integrity_rates,
     integrity_breakdown,
@@ -55,17 +52,10 @@ from .perf import (
     saturation_throughput,
     write_benchmark_csv,
 )
-from .planner import (
-    THROUGHPUT_RATIOS,
-    PlanRequest,
-    PlanResult,
-    SweepCell,
-    plan_capacity,
-    required_base_nodes,
-    sweep,
-)
+from .planner import PlanRequest, PlanResult, plan_capacity, required_base_nodes
 from .simulate import SimEstimate, simulate_ctmc
 from .units import DAY, HOUR, MINUTE, MONTH, SECOND, YEAR
+from .variants import NODE_VARIANTS, TransientSplit
 
 __version__ = "0.1.0"
 
@@ -76,12 +66,10 @@ __all__ = [
     "HOUR",
     "MINUTE",
     "MONTH",
+    "NODE_VARIANTS",
     "ON_PREMISES",
     "PF",
     "SECOND",
-    "THROUGHPUT_RATIOS",
-    "TRANSIENT_SPLITS",
-    "VARIANTS",
     "YEAR",
     "AvailRates",
     "AvailabilityModel",
@@ -98,7 +86,6 @@ __all__ = [
     "PlanResult",
     "PoissonWindow",
     "SimEstimate",
-    "SweepCell",
     "TransientSplit",
     "availability",
     "build_ara_model",
@@ -120,7 +107,6 @@ __all__ = [
     "saturation_throughput",
     "simulate_ctmc",
     "steady_state",
-    "sweep",
     "transient_distribution",
     "write_benchmark_csv",
 ]

@@ -5,7 +5,8 @@ Scenario configuration files go in, CSV tables come out.  Subcommands:
 * ``ingest``: extract saturation throughputs and degradation ratios
   from benchmark CSVs.
 * ``avail``: availability of one configured cluster.
-* ``integrity``: monthly correct/corrupt/down shares of one node.
+* ``integrity``: correct/corrupt/down shares of one node over the
+  configured horizon (``horizon_hours = 730.5`` gives one month).
 * ``plan``: smallest extra-node counts meeting the configured target.
 * ``sweep``: run a canned table or figure-data suite.
 * ``simulate``: Monte Carlo estimate of the configured cluster's
@@ -21,7 +22,6 @@ import argparse
 import csv
 import functools
 import sys
-from pathlib import Path
 
 from .availability import (
     ARA,
@@ -32,13 +32,10 @@ from .availability import (
 from .config import ConfigError, ScenarioConfig, load_config
 from .integrity import build_integrity_model, integrity_breakdown
 from .perf import degradation_ratios, parse_benchmark_csv, saturation_throughput
-from .planner import (
-    THROUGHPUT_RATIOS,
-    plan_capacity,
-    required_base_nodes,
-)
+from .planner import plan_capacity
 from .simulate import simulate_ctmc
 from .suites import SUITES, run_suite
+from .variants import NODE_VARIANTS
 
 __all__ = ["main"]
 
@@ -99,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("avail", _cmd_avail,
         "Availability of the configured cluster over the horizon.")
     add("integrity", _cmd_integrity,
-        "Monthly correct/corrupt/down time shares of one node.")
+        "Correct/corrupt/down time shares of one node over the horizon "
+        "(horizon_hours; 730.5 is one month).")
     add("plan", _cmd_plan,
         "Smallest extra-node count per variant meeting the target nines.")
     p = add("sweep", _cmd_sweep, "Run a canned table or figure-data sweep.")
@@ -141,18 +139,12 @@ def _write_csv(header, rows, out: str | None) -> None:
 def _variants_for(config: ScenarioConfig) -> list[str]:
     if config.node_variant:
         return [config.node_variant]
-    return list(THROUGHPUT_RATIOS)
-
-
-def _base_nodes(config: ScenarioConfig, variant: str) -> int:
-    ratio = (config.throughput_ratio if config.throughput_ratio is not None
-             else THROUGHPUT_RATIOS[variant])
-    return required_base_nodes(config.sert_multiplier, ratio)
+    return list(NODE_VARIANTS)
 
 
 def _cluster_model(config: ScenarioConfig, variant: str):
     config.require("technique", "deployment")
-    base = _base_nodes(config, variant)
+    base = config.base_nodes(variant)
     extra = config.extra_nodes
     if config.technique == ARA:
         spec = ClusterSpec(ARA, config.deployment, num=base, op=extra)

@@ -12,14 +12,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .availability import ARA, CLOUD, ON_PREMISES, PF, AvailRates
-from .integrity import (
-    TRANSIENT_SPLITS,
-    IntegrityRates,
-    TransientSplit,
-    derive_integrity_rates,
-)
-from .planner import THROUGHPUT_RATIOS, PlanRequest
+from .integrity import IntegrityRates, derive_integrity_rates
+from .planner import PlanRequest, required_base_nodes
 from .units import HOUR, MONTH
+from .variants import NODE_VARIANTS, TransientSplit, throughput_ratio
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_config", "parse_config"]
 
@@ -74,6 +70,11 @@ class ScenarioConfig:
             pool_repair_per_s=None if repair is None else repair / HOUR,
         )
 
+    def base_nodes(self, variant: str) -> int:
+        """Nodes serving ``sert_multiplier`` at the variant's (or the set) ratio."""
+        return required_base_nodes(
+            self.sert_multiplier, throughput_ratio(variant, self.throughput_ratio))
+
     def plan_request(self, variant: str | None = None) -> PlanRequest:
         self.require("technique", "deployment")
         variant = variant or self.node_variant
@@ -94,7 +95,7 @@ class ScenarioConfig:
 
     def transient_split(self, variant: str | None = None) -> TransientSplit:
         variant = variant or self.node_variant
-        base = TRANSIENT_SPLITS.get(variant) if variant else None
+        base = NODE_VARIANTS[variant].split if variant in NODE_VARIANTS else None
         overrides = (self.corrupt_pct, self.crash_pct, self.retry_pct)
         if base is None and any(v is None for v in overrides):
             raise ConfigError(
@@ -126,7 +127,7 @@ class ScenarioConfig:
 _STRING_CHOICES = {
     "technique": (PF, ARA),
     "deployment": (CLOUD, ON_PREMISES),
-    "node_variant": tuple(THROUGHPUT_RATIOS),
+    "node_variant": tuple(NODE_VARIANTS),
 }
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}

@@ -3,22 +3,9 @@
 A node cycles between Correct, Corrupt (undetected bad output), Crash,
 and, for transactional nodes, a Retry state for detected faults that are
 rolled back.  Transient faults strike at a configured rate and split
-three ways by node variant: silently corrupting, crashing, or detected
-(retried).  The remaining fraction is masked and leaves no trace.
-
-The shipped splits per variant:
-
-========  ========  =======  ========
-variant   corrupt   crash    retried
-========  ========  =======  ========
-native    26.19%    12.49%   --
-ft_ilr    0.80%     75.00%   --
-ft_tx     1.17%     7.72%    66.99%
-========  ========  =======  ========
-
-ft_ilr is instruction-level redundancy (most faults turn into detected
-crashes), ft_tx is transactional replay (most faults are absorbed by a
-microsecond-scale retry).  Crash recovery is deployment-dependent:
+three ways by node variant (see ``pcraft.variants``): silently
+corrupting, crashing, or detected (retried).  The remaining fraction is
+masked and leaves no trace.  Crash recovery is deployment-dependent:
 cloud nodes re-provision in seconds, on-premises nodes without spares
 stay down, which the model expresses as an absorbing Crash state.
 """
@@ -29,16 +16,14 @@ import math
 from dataclasses import dataclass
 
 from .ctmc import Ctmc, build_ctmc, cumulative_occupancy, indicator_reward
+from .variants import TransientSplit
 
 __all__ = [
     "CRASH_RECOVERY_SECONDS",
     "RETRY_SECONDS",
     "SDC_RECOVERY_SECONDS",
-    "TRANSIENT_SPLITS",
-    "VARIANTS",
     "IntegrityRates",
     "IntegrityReport",
-    "TransientSplit",
     "build_integrity_model",
     "derive_integrity_rates",
     "integrity_breakdown",
@@ -48,36 +33,6 @@ __all__ = [
 CRASH_RECOVERY_SECONDS = 15.0
 SDC_RECOVERY_SECONDS = 6 * 3600.0
 RETRY_SECONDS = 2.5e-6
-
-
-@dataclass(frozen=True)
-class TransientSplit:
-    """How transient faults divide among outcomes (fractions of faults)."""
-
-    corrupt: float
-    crash: float
-    retried: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("corrupt", "crash", "retried"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} fraction must lie in [0, 1], got {value!r}")
-        if self.corrupt + self.crash + self.retried > 1.0 + 1e-12:
-            raise ValueError("outcome fractions must sum to at most 1")
-
-    @property
-    def masked(self) -> float:
-        return max(1.0 - self.corrupt - self.crash - self.retried, 0.0)
-
-
-VARIANTS = ("native", "ft_ilr", "ft_tx")
-
-TRANSIENT_SPLITS: dict[str, TransientSplit] = {
-    "native": TransientSplit(corrupt=0.2619, crash=0.1249),
-    "ft_ilr": TransientSplit(corrupt=0.0080, crash=0.7500),
-    "ft_tx": TransientSplit(corrupt=0.0117, crash=0.0772, retried=0.6699),
-}
 
 
 @dataclass(frozen=True)

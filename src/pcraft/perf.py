@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "PerfCurve",

@@ -24,10 +24,8 @@ large searches cheap without changing any answer:
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
 
 from .availability import (
     ARA,
@@ -40,24 +38,15 @@ from .availability import (
     build_availability_model,
     nines,
 )
-from .ctmc import indicator_reward, occupancy_from_each_start
+from .ctmc import occupancy_from_each_start
+from .variants import NODE_VARIANTS, throughput_ratio
 
 __all__ = [
-    "THROUGHPUT_RATIOS",
     "PlanRequest",
     "PlanResult",
-    "SweepCell",
     "plan_capacity",
     "required_base_nodes",
-    "sweep",
 ]
-
-# Node throughput relative to a native build, by variant.
-THROUGHPUT_RATIOS: dict[str, float] = {
-    "native": 1.00,
-    "ft_ilr": 0.92,
-    "ft_tx": 0.71,
-}
 
 # Guards against float quotients landing epsilon above an exact integer.
 _CEIL_GUARD = 1e-9
@@ -86,13 +75,12 @@ class PlanRequest:
     ratio: float | None = None
     search_cap: int = 1000
     parallel_recovery: bool = True
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.ratio is None and self.node_variant not in THROUGHPUT_RATIOS:
+        if self.ratio is None and self.node_variant not in NODE_VARIANTS:
             raise ValueError(
                 f"unknown node variant {self.node_variant!r}; "
-                f"known: {sorted(THROUGHPUT_RATIOS)} (or pass an explicit ratio)")
+                f"known: {sorted(NODE_VARIANTS)} (or pass an explicit ratio)")
         if not math.isfinite(self.target_nines) or self.target_nines <= 0:
             raise ValueError(f"target_nines must be positive, got {self.target_nines!r}")
         if not math.isfinite(self.horizon_s) or self.horizon_s <= 0:
@@ -102,7 +90,7 @@ class PlanRequest:
 
     @property
     def effective_ratio(self) -> float:
-        return self.ratio if self.ratio is not None else THROUGHPUT_RATIOS[self.node_variant]
+        return throughput_ratio(self.node_variant, self.ratio)
 
     @property
     def target_availability(self) -> float:
@@ -208,7 +196,7 @@ class _PerExtraEvaluator:
             model = build_availability_model(
                 _spec_for(request, self._base, extra), request.rates,
                 request.parallel_recovery)
-            report = availability(model, request.horizon_s, request.tol)
+            report = availability(model, request.horizon_s)
             self._cache[extra] = report.availability
             self.evaluations += 1
         return self._cache[extra]
@@ -241,7 +229,7 @@ class _FamilyEvaluator:
         model = build_availability_model(
             _spec_for(request, base, cap), request.rates, request.parallel_recovery)
         occupancy = occupancy_from_each_start(
-            model.ctmc, model.up_reward, request.horizon_s, request.tol)
+            model.ctmc, model.up_reward, request.horizon_s)
         for extra in range(cap + 1):
             start = base + extra if request.technique == ARA else (base, extra)
             self._cache[extra] = float(
@@ -262,7 +250,7 @@ def _make_evaluator(request: PlanRequest, base: int):
 def _unbounded_pool_availability(request: PlanRequest, base: int) -> float:
     model = build_availability_model(
         ClusterSpec(PF, CLOUD, num=base), request.rates, request.parallel_recovery)
-    return availability(model, request.horizon_s, request.tol).availability
+    return availability(model, request.horizon_s).availability
 
 
 def _doubling_search(evaluator, target: float, cap: int) -> tuple[int, float, bool]:
@@ -291,49 +279,3 @@ def _linear_scan(evaluator, target: float, cap: int) -> tuple[int, float, bool]:
         if avail >= target:
             return extra, avail, True
     return cap, evaluator(cap), False
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid point: the overridden parameters plus a result or an error."""
-
-    params: dict[str, Any]
-    result: Any | None
-    error: str | None
-
-
-_RATE_FIELDS = {f.name for f in fields(AvailRates)}
-_REQUEST_FIELDS = {f.name for f in fields(PlanRequest)}
-
-
-def sweep(grid: Mapping[str, Sequence[Any]], template: PlanRequest,
-          evaluate: Callable[[PlanRequest], Any] = plan_capacity) -> list[SweepCell]:
-    """Evaluate a request template over a parameter grid.
-
-    Axes iterate in the order given, last axis fastest.  A failing cell
-    is recorded with its error message instead of aborting the sweep.
-    """
-    if not grid:
-        raise ValueError("sweep grid has no axes")
-    for key, values in grid.items():
-        if key not in _REQUEST_FIELDS and key not in _RATE_FIELDS:
-            raise ValueError(f"unknown sweep axis {key!r}")
-        if not values:
-            raise ValueError(f"sweep axis {key!r} has no values")
-    keys = list(grid)
-    cells: list[SweepCell] = []
-    for combo in itertools.product(*grid.values()):
-        params = dict(zip(keys, combo))
-        try:
-            cells.append(SweepCell(params, evaluate(_override(template, params)), None))
-        except Exception as exc:
-            cells.append(SweepCell(params, None, f"{type(exc).__name__}: {exc}"))
-    return cells
-
-
-def _override(template: PlanRequest, params: Mapping[str, Any]) -> PlanRequest:
-    rate_overrides = {k: v for k, v in params.items() if k in _RATE_FIELDS}
-    request_overrides = {k: v for k, v in params.items() if k in _REQUEST_FIELDS}
-    if rate_overrides:
-        request_overrides["rates"] = replace(template.rates, **rate_overrides)
-    return replace(template, **request_overrides)

@@ -93,11 +93,7 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
         averages[rep] = acc / horizon_s
 
     mean = float(np.mean(averages))
-    if replications > 1:
-        sd = float(np.std(averages, ddof=1))
-        half = _Z99 * sd / math.sqrt(replications)
-    else:
-        half = math.inf
+    half = _Z99 * float(np.std(averages, ddof=1)) / math.sqrt(replications)
     return SimEstimate(mean=mean, ci_half_width=half,
                        replications=replications, seed=seed)
 

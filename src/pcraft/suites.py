@@ -18,20 +18,16 @@ from .availability import (
     CLOUD,
     ON_PREMISES,
     PF,
-    AvailRates,
+    AvailabilityReport,
     ClusterSpec,
     availability,
     build_availability_model,
 )
 from .config import ScenarioConfig
-from .integrity import VARIANTS, build_integrity_model, integrity_breakdown
-from .planner import (
-    THROUGHPUT_RATIOS,
-    PlanRequest,
-    plan_capacity,
-    required_base_nodes,
-)
+from .integrity import build_integrity_model, integrity_breakdown
+from .planner import plan_capacity
 from .units import MONTH
+from .variants import NODE_VARIANTS
 
 __all__ = ["SUITES", "Suite", "run_suite"]
 
@@ -50,34 +46,16 @@ class Suite(NamedTuple):
     build: Callable[[ScenarioConfig], list[list]]
 
 
-def _plan_row(config: ScenarioConfig, technique: str, deployment: str,
-              variant: str, crashes: float, recovery_s: float,
-              repair_per_hour: float | None):
-    rates = AvailRates(
-        hw_crash_per_year=crashes,
-        crash_recovery_per_s=1.0 / recovery_s,
-        pool_repair_per_s=None if repair_per_hour is None else repair_per_hour / 3600.0,
-    )
-    return plan_capacity(PlanRequest(
-        technique=technique,
-        deployment=deployment,
-        node_variant=variant,
-        sert_multiplier=config.sert_multiplier,
-        target_nines=config.target_nines,
-        horizon_s=config.horizon_s,
-        rates=rates,
-        ratio=config.throughput_ratio,
-        search_cap=config.search_cap,
-        parallel_recovery=config.parallel_recovery,
-    ))
-
-
 def _cloud_ara_extras(config: ScenarioConfig) -> list[list]:
     rows = []
-    for variant in VARIANTS:
+    for variant in NODE_VARIANTS:
         for crashes in CRASH_RATES_PER_YEAR:
             for recovery_s in RECOVERY_SECONDS:
-                r = _plan_row(config, ARA, CLOUD, variant, crashes, recovery_s, None)
+                cell = replace(config, technique=ARA, deployment=CLOUD,
+                               hw_crash_per_year=crashes,
+                               crash_recovery_seconds=recovery_s,
+                               pool_repair_per_hour=None)
+                r = plan_capacity(cell.plan_request(variant))
                 rows.append([variant, crashes, recovery_s, r.base, r.extra,
                              r.availability, r.nines, r.feasible])
     return rows
@@ -85,10 +63,11 @@ def _cloud_ara_extras(config: ScenarioConfig) -> list[list]:
 
 def _onprem_ara_extras(config: ScenarioConfig) -> list[list]:
     rows = []
-    for variant in VARIANTS:
+    for variant in NODE_VARIANTS:
         for crashes in CRASH_RATES_PER_YEAR:
-            r = _plan_row(config, ARA, ON_PREMISES, variant, crashes,
-                          config.crash_recovery_seconds, None)
+            cell = replace(config, technique=ARA, deployment=ON_PREMISES,
+                           hw_crash_per_year=crashes, pool_repair_per_hour=None)
+            r = plan_capacity(cell.plan_request(variant))
             rows.append([variant, crashes, r.base, r.extra,
                          r.availability, r.nines, r.feasible])
     return rows
@@ -96,34 +75,41 @@ def _onprem_ara_extras(config: ScenarioConfig) -> list[list]:
 
 def _onprem_pf_pool(config: ScenarioConfig) -> list[list]:
     rows = []
-    for variant in VARIANTS:
+    for variant in NODE_VARIANTS:
         for crashes in CRASH_RATES_PER_YEAR:
             for recovery_s in RECOVERY_SECONDS:
                 for repair in (None, 1.0):
-                    r = _plan_row(config, PF, ON_PREMISES, variant, crashes,
-                                  recovery_s, repair)
+                    cell = replace(config, technique=PF, deployment=ON_PREMISES,
+                                   hw_crash_per_year=crashes,
+                                   crash_recovery_seconds=recovery_s,
+                                   pool_repair_per_hour=repair)
+                    r = plan_capacity(cell.plan_request(variant))
                     rows.append([variant, crashes, recovery_s, repair,
                                  r.base, r.extra, r.availability, r.nines,
                                  r.feasible])
     return rows
 
 
+def _no_spares(cell: ScenarioConfig, deployment: str, num: int) -> AvailabilityReport:
+    """Availability of ``num`` PF nodes without a standby pool, at the cell's rates."""
+    model = build_availability_model(ClusterSpec(PF, deployment, num=num),
+                                     cell.avail_rates(), cell.parallel_recovery)
+    return availability(model, cell.horizon_s)
+
+
 def _single_node_availability(config: ScenarioConfig) -> list[list]:
     rows = []
     for recovery_s in RECOVERY_SECONDS:
         for crashes in FAULT_RATE_SPAN:
-            rates = AvailRates(crashes, 1.0 / recovery_s)
-            model = build_availability_model(
-                ClusterSpec(PF, CLOUD, num=1), rates, config.parallel_recovery)
-            report = availability(model, config.horizon_s)
+            cell = replace(config, hw_crash_per_year=crashes,
+                           crash_recovery_seconds=recovery_s,
+                           pool_repair_per_hour=None)
+            report = _no_spares(cell, CLOUD, 1)
             rows.append([CLOUD, recovery_s, crashes,
                          report.availability, report.nines])
     for crashes in FAULT_RATE_SPAN:
-        rates = AvailRates(crashes, 1.0 / config.crash_recovery_seconds)
-        model = build_availability_model(
-            ClusterSpec(PF, ON_PREMISES, num=1, pool=0), rates,
-            config.parallel_recovery)
-        report = availability(model, config.horizon_s)
+        cell = replace(config, hw_crash_per_year=crashes, pool_repair_per_hour=None)
+        report = _no_spares(cell, ON_PREMISES, 1)
         # No automatic recovery on-premises, so the recovery column is empty.
         rows.append([ON_PREMISES, None, crashes, report.availability, report.nines])
     return rows
@@ -133,30 +119,21 @@ def _cluster_availability(config: ScenarioConfig) -> list[list]:
     rows = []
     for deployment in (CLOUD, ON_PREMISES):
         for crashes in CRASH_RATES_PER_YEAR:
-            rates = AvailRates(crashes, 1.0 / config.crash_recovery_seconds)
+            cell = replace(config, hw_crash_per_year=crashes, pool_repair_per_hour=None)
             for num in CLUSTER_SIZES:
-                model = build_availability_model(
-                    ClusterSpec(PF, deployment, num=num, pool=0), rates,
-                    config.parallel_recovery)
-                report = availability(model, config.horizon_s)
+                report = _no_spares(cell, deployment, num)
                 rows.append([deployment, crashes, num,
                              report.availability, report.nines])
     return rows
 
 
 def _deployment_fault_rates(config: ScenarioConfig) -> list[list]:
-    variant = config.node_variant or "native"
-    ratio = (config.throughput_ratio if config.throughput_ratio is not None
-             else THROUGHPUT_RATIOS[variant])
-    num = required_base_nodes(config.sert_multiplier, ratio)
+    num = config.base_nodes(config.node_variant or "native")
     rows = []
     for deployment in (CLOUD, ON_PREMISES):
         for crashes in FAULT_RATE_SPAN:
-            rates = AvailRates(crashes, 1.0 / config.crash_recovery_seconds)
-            model = build_availability_model(
-                ClusterSpec(PF, deployment, num=num, pool=0), rates,
-                config.parallel_recovery)
-            report = availability(model, config.horizon_s)
+            cell = replace(config, hw_crash_per_year=crashes, pool_repair_per_hour=None)
+            report = _no_spares(cell, deployment, num)
             rows.append([deployment, crashes, num,
                          report.availability, report.nines])
     return rows
@@ -166,7 +143,7 @@ def _integrity_time_shares(config: ScenarioConfig) -> list[list]:
     # Shares are reported over one month regardless of the availability
     # horizon; the transient-rate axis is the sweep.
     rows = []
-    for variant in VARIANTS:
+    for variant in NODE_VARIANTS:
         for rate in TRANSIENT_RATES_PER_MONTH:
             scenario = replace(config, transient_rate_per_month=rate)
             model = build_integrity_model(scenario.integrity_rates(variant))

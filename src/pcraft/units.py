@@ -1,4 +1,4 @@
-"""Time unit constants and conversions.
+"""Time unit constants.
 
 All model rates are per second internally.  Configuration files accept
 human-scale units (crashes per year, repairs per hour) and are converted
@@ -15,19 +15,3 @@ DAY = 24 * HOUR
 YEAR = 8766 * HOUR          # 31,557,600 s
 MONTH = YEAR / 12.0         # 730.5 h
 
-
-def per_year(events: float) -> float:
-    """Rate in events/year expressed per second."""
-    return events / YEAR
-
-
-def per_month(events: float) -> float:
-    return events / MONTH
-
-
-def per_day(events: float) -> float:
-    return events / DAY
-
-
-def per_hour(events: float) -> float:
-    return events / HOUR

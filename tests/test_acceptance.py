@@ -34,7 +34,6 @@ from pcraft.ctmc import (
     transient_distribution,
 )
 from pcraft.integrity import (
-    TRANSIENT_SPLITS,
     build_integrity_model,
     derive_integrity_rates,
     integrity_breakdown,
@@ -42,6 +41,7 @@ from pcraft.integrity import (
 from pcraft.planner import PlanRequest, plan_capacity, required_base_nodes
 from pcraft.simulate import simulate_ctmc
 from pcraft.units import HOUR, MONTH, YEAR
+from pcraft.variants import NODE_VARIANTS
 
 TARGET_NINES = 3.0
 TARGET = 1.0 - 10.0 ** -TARGET_NINES
@@ -312,7 +312,7 @@ def test_08_integrity_corrupt_share_bands():
     for rate_per_month, bands in CORRUPT_BANDS.items():
         for variant in VARIANTS:
             rates = derive_integrity_rates(
-                rate_per_month / MONTH, TRANSIENT_SPLITS[variant],
+                rate_per_month / MONTH, NODE_VARIANTS[variant].split,
                 crash_recovery_s=15.0)
             report = integrity_breakdown(build_integrity_model(rates), MONTH)
             percent = report.corrupt * 100.0
@@ -324,7 +324,7 @@ def test_08_integrity_corrupt_share_bands():
     point_misses = []
     for rate_per_month, variant, expected, tol in CORRUPT_POINT_CHECKS:
         rates = derive_integrity_rates(
-            rate_per_month / MONTH, TRANSIENT_SPLITS[variant],
+            rate_per_month / MONTH, NODE_VARIANTS[variant].split,
             crash_recovery_s=15.0)
         report = integrity_breakdown(build_integrity_model(rates), MONTH)
         percent = report.corrupt * 100.0

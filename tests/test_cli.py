@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from pcraft.cli import _build_parser, main
+from pcraft.config import ScenarioConfig
+from pcraft.integrity import build_integrity_model, integrity_breakdown
+from pcraft.units import YEAR
 
 DATA = Path(__file__).parent / "data"
 
@@ -193,6 +196,16 @@ class TestIntegrity:
             assert correct + corrupt + down == pytest.approx(1.0, abs=1e-12)
         native = rows[1]
         assert float(native[4]) == pytest.approx(0.0021289, abs=1e-6)
+
+    def test_default_horizon_is_a_year(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "deployment = cloud\ntransient_rate_per_month = 1\n")
+        code, out, _ = run(["integrity", "--config", cfg], capsys)
+        assert code == 0
+        native = rows_of(out)[1]
+        assert native[0] == "native" and native[2] == "8766.0"
+        scenario = ScenarioConfig(deployment="cloud", transient_rate_per_month=1.0)
+        model = build_integrity_model(scenario.integrity_rates("native"))
+        assert float(native[4]) == integrity_breakdown(model, YEAR).corrupt
 
     def test_requires_transient_rate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "deployment = cloud\n")

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+from pcraft.cli import main
 from pcraft.config import ConfigError, ScenarioConfig, load_config, parse_config
+from pcraft.planner import plan_capacity
 from pcraft.units import HOUR, MONTH, YEAR
+from pcraft.variants import NODE_VARIANTS
 
 
 class TestParsing:
@@ -66,6 +69,11 @@ class TestParsing:
     def test_bad_choice_lists_alternatives(self):
         with pytest.raises(ConfigError, match=r"'deployment'.*cloud, on-premises.*'onprem'"):
             parse_config("deployment = onprem\n")
+
+    def test_bad_variant_lists_the_variant_table(self):
+        names = ", ".join(NODE_VARIANTS)
+        with pytest.raises(ConfigError, match=rf"'node_variant'.*{names}.*'ft_xyz'"):
+            parse_config("node_variant = ft_xyz\n")
 
     @pytest.mark.parametrize("word,value", [
         ("true", True), ("Yes", True), ("on", True), ("1", True),
@@ -128,6 +136,20 @@ class TestAccessors:
         cfg = ScenarioConfig(technique="PF", deployment="cloud", node_variant="native")
         assert cfg.plan_request("ft_tx").node_variant == "ft_tx"
         assert cfg.plan_request().node_variant == "native"
+
+    @pytest.mark.parametrize("ratio", [None, 0.5])
+    def test_base_nodes_agree_with_the_planner(self, ratio):
+        cfg = ScenarioConfig(technique="ARA", deployment="cloud", throughput_ratio=ratio)
+        for variant in NODE_VARIANTS:
+            assert cfg.base_nodes(variant) == plan_capacity(cfg.plan_request(variant)).base
+        assert cfg.base_nodes("ft_tx") == (15 if ratio is None else 20)
+
+    def test_plan_without_variant_lists_the_table_in_order(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("technique = ARA\ndeployment = cloud\n", encoding="utf-8")
+        assert main(["plan", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == list(NODE_VARIANTS)
 
     def test_transient_split_shipped_table(self):
         split = ScenarioConfig().transient_split("ft_tx")

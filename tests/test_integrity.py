@@ -7,8 +7,7 @@ import pytest
 from scipy import linalg
 
 from pcraft import (
-    TRANSIENT_SPLITS,
-    VARIANTS,
+    NODE_VARIANTS,
     TransientSplit,
     build_integrity_model,
     derive_integrity_rates,
@@ -48,19 +47,19 @@ def eigen_occupancy(generator: np.ndarray, initial: np.ndarray,
 
 def cloud_model(variant: str, rate_per_s: float):
     rates = derive_integrity_rates(
-        rate_per_s, TRANSIENT_SPLITS[variant], CRASH_RECOVERY_SECONDS)
+        rate_per_s, NODE_VARIANTS[variant].split, CRASH_RECOVERY_SECONDS)
     return build_integrity_model(rates)
 
 
 class TestTransientSplit:
     def test_shipped_splits(self):
-        assert TRANSIENT_SPLITS["native"] == TransientSplit(0.2619, 0.1249, 0.0)
-        assert TRANSIENT_SPLITS["ft_ilr"] == TransientSplit(0.0080, 0.7500, 0.0)
-        assert TRANSIENT_SPLITS["ft_tx"] == TransientSplit(0.0117, 0.0772, 0.6699)
-        assert set(TRANSIENT_SPLITS) == set(VARIANTS)
+        assert NODE_VARIANTS["native"].split == TransientSplit(0.2619, 0.1249, 0.0)
+        assert NODE_VARIANTS["ft_ilr"].split == TransientSplit(0.0080, 0.7500, 0.0)
+        assert NODE_VARIANTS["ft_tx"].split == TransientSplit(0.0117, 0.0772, 0.6699)
+        assert list(NODE_VARIANTS) == ["native", "ft_ilr", "ft_tx"]
 
     def test_masked_remainder(self):
-        split = TRANSIENT_SPLITS["native"]
+        split = NODE_VARIANTS["native"].split
         assert split.masked == pytest.approx(1.0 - 0.2619 - 0.1249, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [
@@ -75,7 +74,7 @@ class TestTransientSplit:
 
 class TestDeriveRates:
     def test_rates_scale_with_split(self):
-        rates = derive_integrity_rates(1.0 / DAY, TRANSIENT_SPLITS["ft_tx"], 15.0)
+        rates = derive_integrity_rates(1.0 / DAY, NODE_VARIANTS["ft_tx"].split, 15.0)
         assert rates.sdc_per_s == pytest.approx(0.0117 / DAY, rel=1e-15)
         assert rates.crash_per_s == pytest.approx(0.0772 / DAY, rel=1e-15)
         assert rates.detected_per_s == pytest.approx(0.6699 / DAY, rel=1e-15)
@@ -84,22 +83,22 @@ class TestDeriveRates:
         assert rates.crash_recovery_per_s == pytest.approx(1.0 / 15.0)
 
     def test_no_crash_recovery_marks_absorbing(self):
-        rates = derive_integrity_rates(1.0 / DAY, TRANSIENT_SPLITS["native"], None)
+        rates = derive_integrity_rates(1.0 / DAY, NODE_VARIANTS["native"].split, None)
         assert rates.crash_recovery_per_s is None
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf])
     def test_rejects_bad_fault_rate(self, rate):
         with pytest.raises(ValueError, match="fault rate"):
-            derive_integrity_rates(rate, TRANSIENT_SPLITS["native"], 15.0)
+            derive_integrity_rates(rate, NODE_VARIANTS["native"].split, 15.0)
 
     def test_rejects_bad_recovery_times(self):
         with pytest.raises(ValueError, match="sdc_recovery_s"):
-            derive_integrity_rates(1.0, TRANSIENT_SPLITS["native"], 15.0,
+            derive_integrity_rates(1.0, NODE_VARIANTS["native"].split, 15.0,
                                    sdc_recovery_s=0.0)
         with pytest.raises(ValueError, match="crash_recovery_s"):
-            derive_integrity_rates(1.0, TRANSIENT_SPLITS["native"], -2.0)
+            derive_integrity_rates(1.0, NODE_VARIANTS["native"].split, -2.0)
         with pytest.raises(ValueError, match="retry_crash"):
-            derive_integrity_rates(1.0, TRANSIENT_SPLITS["ft_tx"], 15.0,
+            derive_integrity_rates(1.0, NODE_VARIANTS["ft_tx"].split, 15.0,
                                    retry_crash_per_s=-1.0)
 
 
@@ -118,14 +117,14 @@ class TestModelShape:
 
     def test_retry_crash_adds_an_edge(self):
         rates = derive_integrity_rates(
-            1.0 / DAY, TRANSIENT_SPLITS["ft_tx"], 15.0,
+            1.0 / DAY, NODE_VARIANTS["ft_tx"].split, 15.0,
             retry_crash_per_s=1.0 / 3600.0)
         model = build_integrity_model(rates)
         retry, crash = model.index_of("Retry"), model.index_of("Crash")
         assert model.generator[retry, crash] == pytest.approx(1.0 / 3600.0)
 
     def test_onprem_crash_is_absorbing(self):
-        rates = derive_integrity_rates(1.0 / MONTH, TRANSIENT_SPLITS["native"], None)
+        rates = derive_integrity_rates(1.0 / MONTH, NODE_VARIANTS["native"].split, None)
         model = build_integrity_model(rates)
         assert model.exit_rates[model.index_of("Crash")] == 0.0
 
@@ -154,16 +153,16 @@ class TestBreakdown:
         assert report.corrupt == pytest.approx(FT_ILR_DAILY_CORRUPT, rel=1e-9)
 
     @pytest.mark.parametrize("rate", [1.0 / MONTH, 1.0 / DAY], ids=["month", "day"])
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", tuple(NODE_VARIANTS))
     def test_corruption_below_first_order_product(self, variant, rate):
         # Corruptions only start from Correct, so the corrupt share is at
         # most rate * p * tau * (share of time in Correct) < rate * p * tau.
         report = integrity_breakdown(cloud_model(variant, rate), MONTH)
-        first_order = rate * TRANSIENT_SPLITS[variant].corrupt * SDC_RECOVERY_SECONDS
+        first_order = rate * NODE_VARIANTS[variant].split.corrupt * SDC_RECOVERY_SECONDS
         assert report.corrupt < first_order
 
     def test_fractions_partition_the_horizon(self):
-        for variant in VARIANTS:
+        for variant in NODE_VARIANTS:
             report = integrity_breakdown(cloud_model(variant, 1.0 / DAY), MONTH)
             assert report.correct + report.corrupt + report.down == pytest.approx(1.0, abs=1e-14)
             assert 0.0 <= report.corrupt < 0.1
@@ -189,7 +188,7 @@ class TestBreakdown:
         # ft_ilr corrupts least, native most, at any common fault rate.
         corrupt = {
             v: integrity_breakdown(cloud_model(v, 1.0 / DAY), MONTH).corrupt
-            for v in VARIANTS
+            for v in NODE_VARIANTS
         }
         assert corrupt["ft_ilr"] < corrupt["ft_tx"] < corrupt["native"]
 
@@ -204,7 +203,7 @@ class TestBreakdown:
     def test_absorbing_crash_accumulates_downtime(self):
         cloud = integrity_breakdown(cloud_model("native", 1.0 / DAY), MONTH)
         onprem_rates = derive_integrity_rates(
-            1.0 / DAY, TRANSIENT_SPLITS["native"], None)
+            1.0 / DAY, NODE_VARIANTS["native"].split, None)
         onprem = integrity_breakdown(build_integrity_model(onprem_rates), MONTH)
         assert onprem.down > 100 * cloud.down
 

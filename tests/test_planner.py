@@ -1,4 +1,4 @@
-"""Capacity planning: base sizing, extras search, shortcuts, and sweeps."""
+"""Capacity planning: base sizing, extras search, and shortcuts."""
 
 import math
 from dataclasses import replace
@@ -9,13 +9,12 @@ from pcraft import (
     ARA,
     CLOUD,
     ON_PREMISES,
+    NODE_VARIANTS,
     PF,
-    THROUGHPUT_RATIOS,
     AvailRates,
     PlanRequest,
     plan_capacity,
     required_base_nodes,
-    sweep,
 )
 from pcraft.units import YEAR
 
@@ -41,7 +40,8 @@ def request(technique=ARA, deployment=CLOUD, variant="native", sert=10.0,
 
 class TestBaseSizing:
     def test_shipped_ratios(self):
-        assert THROUGHPUT_RATIOS == {"native": 1.00, "ft_ilr": 0.92, "ft_tx": 0.71}
+        ratios = {name: v.throughput_ratio for name, v in NODE_VARIANTS.items()}
+        assert ratios == {"native": 1.00, "ft_ilr": 0.92, "ft_tx": 0.71}
 
     @pytest.mark.parametrize("ratio,expected", [(1.00, 10), (0.92, 11), (0.71, 15)])
     def test_ten_units_of_load(self, ratio, expected):
@@ -206,55 +206,3 @@ class TestSearchMechanics:
                                        search_cap=0))
         assert not result.feasible
         assert result.extra == 0
-
-
-class TestSweep:
-    def test_grid_order_is_deterministic(self):
-        cells = sweep(
-            {"node_variant": ["native", "ft_tx"], "hw_crash_per_year": [1.0, 6.0]},
-            request(crashes=1.0),
-        )
-        assert [c.params for c in cells] == [
-            {"node_variant": "native", "hw_crash_per_year": 1.0},
-            {"node_variant": "native", "hw_crash_per_year": 6.0},
-            {"node_variant": "ft_tx", "hw_crash_per_year": 1.0},
-            {"node_variant": "ft_tx", "hw_crash_per_year": 6.0},
-        ]
-        assert all(c.error is None for c in cells)
-        assert cells[0].result.base == 10
-        assert cells[2].result.base == 15
-
-    def test_rate_axes_reach_the_rates(self):
-        cells = sweep({"crash_recovery_per_s": [1.0 / 15.0, 1.0 / 1800.0]},
-                      request(crashes=12.0))
-        extras = [c.result.extra for c in cells]
-        assert extras == sorted(extras)  # slower recovery never needs fewer
-
-    def test_cell_errors_are_recorded_not_raised(self):
-        cells = sweep({"node_variant": ["native", "mystery"]}, request())
-        assert cells[0].error is None
-        assert cells[1].result is None
-        assert "ValueError" in cells[1].error
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="no axes"):
-            sweep({}, request())
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="no values"):
-            sweep({"node_variant": []}, request())
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError, match="sweep axis"):
-            sweep({"colour": ["red"]}, request())
-
-    def test_cardinality(self):
-        cells = sweep(
-            {
-                "node_variant": ["native", "ft_ilr", "ft_tx"],
-                "hw_crash_per_year": [1.0, 12.0],
-                "crash_recovery_per_s": [1.0 / 15.0, 1.0 / 60.0, 1.0 / 1800.0],
-            },
-            request(),
-        )
-        assert len(cells) == 18

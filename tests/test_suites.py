@@ -90,6 +90,26 @@ def test_deployment_fault_rates_sizes_from_variant():
     _, rows = run_suite("deployment-fault-rates",
                         ScenarioConfig(node_variant="ft_tx"))
     assert all(r[2] == 15 for r in rows)
+    # An explicit throughput ratio wins over the variant's.
+    _, rows = run_suite("deployment-fault-rates", ScenarioConfig(throughput_ratio=0.5))
+    assert all(r[2] == 20 for r in rows)
+    _, rows = run_suite("deployment-fault-rates",
+                        ScenarioConfig(node_variant="ft_tx", throughput_ratio=1.0))
+    assert all(r[2] == 10 for r in rows)
+
+
+@pytest.mark.parametrize("name,knobs", [
+    ("cloud-ara-extras", {}),
+    ("onprem-ara-extras", {"search_cap": 64}),
+    ("single-node-availability", {}),
+    ("cluster-availability", {}),
+    ("deployment-fault-rates", {}),
+])
+def test_suites_without_a_repair_axis_ignore_pool_repair(name, knobs):
+    # These grids model no pool repair; a configured rate must not leak in.
+    plain = run_suite(name, ScenarioConfig(**knobs))
+    repaired = run_suite(name, ScenarioConfig(pool_repair_per_hour=1.0, **knobs))
+    assert repaired == plain
 
 
 def test_integrity_time_shares_partition():
