@@ -2,14 +2,19 @@
 
 Kept deliberately independent of the transient solver: trajectories are
 generated by competing exponential clocks, so agreement between the two
-routes cross-checks both.  Replications draw from independent
-``default_rng([seed, rep])`` streams, which makes every estimate
-reproducible bit for bit and insensitive to scheduling order.
+routes cross-checks both.  All replications advance together, one jump
+per step, drawing from a single ``default_rng(seed)`` stream: start
+states first, then one exponential holding time and one uniform
+successor draw for each replication still running.  The estimate is
+therefore a deterministic function of ``(seed, replications)``; the same
+seed with another replication count gives a different stream.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +26,28 @@ __all__ = ["SimEstimate", "simulate_ctmc"]
 # Two-sided 99% normal quantile.
 _Z99 = 2.5758293035489004
 
+# Arrays of one 8-byte word per replication the batched loop holds at
+# once (start draws, state, clock, accumulator, index, averages, the two
+# draws, exit rate, holding time, masks), on top of the gathered row of
+# ``width`` cumulative probabilities per live replication.
+_WORDS_PER_REPLICATION = 12
+# Padded n x width tables held while building: rates, cumulative
+# probabilities and successors.
+_TABLE_WORDS = 3
+
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Time-averaged reward estimate with a 99% confidence half-width."""
+    """Time-averaged reward estimate with a 99% confidence half-width.
+
+    ``events`` counts the jumps simulated, summed over replications.
+    """
 
     mean: float
     ci_half_width: float
     replications: int
     seed: int
+    events: int
 
     @property
     def low(self) -> float:
@@ -49,7 +67,9 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
 
     ``reward`` is a per-state vector or a predicate over state labels.
     The mean is taken over ``replications`` independent trajectories,
-    each started from the chain's initial distribution.
+    each started from the chain's initial distribution.  ``seed`` is a
+    non-negative integer; a call whose batched arrays would exceed
+    physical memory is refused with a ``ValueError``.
     """
     if callable(reward):
         reward = indicator_reward(ctmc, reward)
@@ -59,64 +79,104 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
                          f"got shape {reward.shape}")
     if not math.isfinite(horizon_s) or horizon_s <= 0:
         raise ValueError(f"horizon must be positive and finite, got {horizon_s!r}")
+    if not _is_integer(replications):
+        raise ValueError(f"replications must be an integer, got {replications!r}")
     if replications < 2:
         raise ValueError(f"need at least 2 replications for a confidence "
                          f"interval, got {replications}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
+    successors, jump_cum = _jump_tables(ctmc, replications)
     exit_rates = ctmc.exit_rates
-    initial_cum = np.cumsum(ctmc.initial)
-    successors, jump_cum = _jump_tables(ctmc)
-    rewards = reward.tolist()
-    exits = exit_rates.tolist()
+    rng = np.random.default_rng(seed)
 
+    initial_cum = np.cumsum(ctmc.initial)
+    state = np.searchsorted(initial_cum, rng.random(replications), side="right")
+    state = np.minimum(state, np.flatnonzero(ctmc.initial)[-1])
+    clock = np.zeros(replications)
+    acc = np.zeros(replications)
+    index = np.arange(replications)     # replications still running
     averages = np.empty(replications)
-    for rep in range(replications):
-        rng = np.random.default_rng([seed, rep])
-        state = int(np.searchsorted(initial_cum, rng.random(), side="right"))
-        state = min(state, ctmc.n - 1)
-        t = 0.0
-        acc = 0.0
-        while True:
-            rate = exits[state]
-            if rate <= 0.0:
-                acc += rewards[state] * (horizon_s - t)
-                break
-            dt = rng.standard_exponential() / rate
-            if t + dt >= horizon_s:
-                acc += rewards[state] * (horizon_s - t)
-                break
-            acc += rewards[state] * dt
-            t += dt
-            row_cum = jump_cum[state]
-            j = int(np.searchsorted(row_cum, rng.random(), side="right"))
-            state = successors[state][min(j, len(row_cum) - 1)]
-        averages[rep] = acc / horizon_s
+    events = 0
+
+    while index.size:
+        rate = exit_rates[state]
+        holding = rng.standard_exponential(index.size)
+        u = rng.random(index.size)
+        # Absorption is decided by the exit rate, never by the holding
+        # time, so a zero draw over a zero rate cannot leak a NaN.
+        moving = rate > 0.0
+        np.divide(holding, rate, out=holding, where=moving)
+        moving &= clock + holding < horizon_s
+
+        done = ~moving
+        averages[index[done]] = (acc[done] + reward[state[done]]
+                                 * (horizon_s - clock[done])) / horizon_s
+
+        index, state, clock, acc = index[moving], state[moving], clock[moving], acc[moving]
+        holding, u = holding[moving], u[moving]
+        acc += reward[state] * holding
+        clock += holding
+        column = np.argmax(jump_cum[state] > u[:, None], axis=1)
+        state = successors[state, column]
+        events += index.size
 
     mean = float(np.mean(averages))
     half = _Z99 * float(np.std(averages, ddof=1)) / math.sqrt(replications)
-    return SimEstimate(mean=mean, ci_half_width=half,
-                       replications=replications, seed=seed)
+    return SimEstimate(mean=mean, ci_half_width=half, replications=replications,
+                       seed=seed, events=events)
 
 
-def _jump_tables(ctmc: Ctmc) -> tuple[list[list[int]], list[np.ndarray]]:
-    """Per-state successor lists and cumulative jump probabilities."""
-    gen = ctmc.generator
-    successors: list[list[int]] = []
-    jump_cum: list[np.ndarray] = []
-    for i in range(ctmc.n):
-        row = gen.getrow(i)
-        mask = row.indices != i
-        targets = row.indices[mask]
-        rates = row.data[mask]
-        order = np.argsort(targets)
-        targets = targets[order]
-        rates = rates[order]
-        total = rates.sum()
-        if total > 0:
-            cum = np.cumsum(rates) / total
-            cum[-1] = 1.0
-        else:
-            cum = np.empty(0)
-        successors.append(targets.tolist())
-        jump_cum.append(cum)
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded ``(n, max out-degree)`` successor and cumulative-probability tables.
+
+    Row ``i`` lists state ``i``'s successors in index order.  Its
+    cumulative jump rates are divided by their own last entry, so the
+    last real entry and the padding after it are exactly 1.0 and the
+    first entry above a uniform draw in ``[0, 1)`` is a real successor.
+    Refuses, before building them, a batch whose tables or
+    per-replication arrays would not fit in memory.
+    """
+    n = ctmc.n
+    gen = ctmc.generator.tocoo()
+    off = (gen.row != gen.col) & (gen.data > 0.0)
+    rows, cols, rates = gen.row[off], gen.col[off], gen.data[off]
+    order = np.lexsort((cols, rows))
+    rows, cols, rates = rows[order], cols[order], rates[order]
+    width = max(int(np.bincount(rows, minlength=n).max()), 1)
+    _check_batch_fits(replications, n, width)
+
+    column = np.arange(rows.size) - np.searchsorted(rows, rows)
+    successors = np.zeros((n, width), dtype=np.intp)
+    successors[rows, column] = cols
+    padded_rates = np.zeros((n, width))
+    padded_rates[rows, column] = rates
+    jump_cum = np.cumsum(padded_rates, axis=1)
+    total = jump_cum[:, -1:].copy()
+    np.divide(jump_cum, total, out=jump_cum, where=total > 0.0)
     return successors, jump_cum
+
+
+def _check_batch_fits(replications: int, n: int, width: int) -> None:
+    """Refuse a simulation whose batched arrays exceed physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf: cannot tell
+        return
+    table = _TABLE_WORDS * 8 * n * width
+    if table > physical:
+        raise ValueError(
+            f"a {n}-state chain with out-degree up to {width} needs about "
+            f"{table / 1e9:.0f} GB for its padded jump table, more than the "
+            f"{physical / 1e9:.0f} GB of physical memory")
+    batch = 8 * (_WORDS_PER_REPLICATION + width) * replications
+    if batch > physical:
+        raise ValueError(
+            f"replications={replications} needs about {batch / 1e9:.0f} GB "
+            f"for the batched simulation, more than the {physical / 1e9:.0f} "
+            f"GB of physical memory; lower replications")

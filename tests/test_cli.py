@@ -2,6 +2,9 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from pcraft.integrity import build_integrity_model, integrity_breakdown
 from pcraft.units import YEAR
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -67,6 +71,23 @@ class TestExitCodes:
              "--latency-threshold-ms", "1e-9"], capsys)
         assert code == 1
         assert "latency threshold" in err
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        # numpy's own message ("expected non-negative integer") names no parameter.
+        cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")
+        code, out, err = run(["simulate", "--config", cfg, "--replications", "20",
+                              "--seed", "-1"], capsys)
+        assert (code, out, err) == (1, "", "pcraft: seed must be a non-negative integer, got -1\n")
+
+    def test_python_dash_m_matches_main(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")
+        argv = ["simulate", "--config", cfg, "--replications", "50"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "pcraft", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(argv, capsys)
+        assert proc.returncode == 0 and rows_of(proc.stdout)[1][9] == "50"
 
     def test_back_to_back_calls_match_fresh_ones(self, tmp_path, capsys):
         # The parser is built once per process; options given to one call

@@ -151,6 +151,25 @@ class TestOnPremFamilies:
         assert with_repair.extra <= without.extra
 
 
+class TestReferenceTablesAtTwoCrashesPerYear:
+    """The reference tables' 6 crashes/yr columns are this model's answers
+    at 2 crashes/yr (README, deviation notes); pinned so the finding holds."""
+
+    @pytest.mark.parametrize("recovery_s", [15.0, 60.0])
+    def test_no_repair_pf_pools(self, recovery_s):
+        pools = [plan_capacity(request(technique=PF, deployment=ON_PREMISES, variant=v,
+                                       crashes=2.0, recovery_s=recovery_s,
+                                       search_cap=64)).extra
+                 for v in NODE_VARIANTS]
+        assert pools == [30, 33, 42]
+
+    def test_ara_extras(self):
+        extras = [plan_capacity(request(deployment=ON_PREMISES, variant=v, crashes=2.0,
+                                        recovery_s=15.0)).extra
+                  for v in NODE_VARIANTS]
+        assert extras == [114, 122, 153]
+
+
 class TestInfeasible:
     def test_unbounded_pool_ceiling_short_circuits(self):
         # 6 crashes/year with 30-minute failover misses 3 nines even

@@ -1,17 +1,26 @@
 """Simulation oracle: determinism, edge cases, and statistical behaviour."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pcraft import build_ctmc, simulate_ctmc
+from pcraft.ctmc import Ctmc
 from pcraft.units import YEAR
 
 LAMBDA_PER_S = 12.0 / YEAR
 RHO_PER_S = 1.0 / 1800.0
 # Stationary up-probability rho / (lambda + rho) of the chain below.
 PI_UP = 0.9993160054719562
+
+
+def absorb_chain(rate=1.0):
+    """``a -> b`` with ``b`` absorbing and last, so its jump-table row is
+    all padding."""
+    return build_ctmc([("a", "b", rate)], {"a": 1.0, "b": 0.0})
 
 
 def two_state():
@@ -25,12 +34,27 @@ def up_reward(label):
     return label == "up"
 
 
+def absorbed_share(rate, horizon):
+    """Time-averaged probability of having left a state of exit rate
+    ``rate`` by then, over ``[0, horizon]``: 1 - (1 - e^{-rate T}) / (rate T)."""
+    x = rate * horizon
+    return 1.0 + math.expm1(-x) / x
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         chain = two_state()
         a = simulate_ctmc(chain, up_reward, YEAR, replications=200, seed=42)
         b = simulate_ctmc(chain, up_reward, YEAR, replications=200, seed=42)
         assert a == b
+
+    def test_no_hidden_state_between_calls(self):
+        chain = two_state()
+        first = simulate_ctmc(chain, up_reward, YEAR, replications=300, seed=4)
+        simulate_ctmc(chain, up_reward, YEAR, replications=77, seed=4)
+        simulate_ctmc(absorb_chain(), np.array([0.0, 1.0]), 1.0, replications=50, seed=0)
+        again = simulate_ctmc(chain, up_reward, YEAR, replications=300, seed=4)
+        assert again == first
 
     def test_different_seeds_differ(self):
         chain = two_state()
@@ -53,6 +77,13 @@ class TestEdgeCases:
         est = simulate_ctmc(chain, lambda s: s == "sink", 123.0, replications=16, seed=0)
         assert est.mean == 1.0
         assert est.ci_half_width == 0.0
+        assert est.events == 0
+
+    def test_events_count_jumps(self):
+        # lambda*T = 50: every trajectory leaves "a" and stops in "b".
+        est = simulate_ctmc(absorb_chain(), np.array([0.0, 1.0]), 50.0,
+                            replications=500, seed=1)
+        assert est.events == 500
 
     def test_constant_reward_has_zero_variance(self):
         chain = two_state()
@@ -76,10 +107,59 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="at least 2 replications"):
             simulate_ctmc(two_state(), up_reward, YEAR, replications=1)
 
+    @pytest.mark.parametrize("replications", [2.5, 100.0, "100", True])
+    def test_rejects_non_integer_replications(self, replications):
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            simulate_ctmc(two_state(), up_reward, YEAR, replications=replications)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            simulate_ctmc(two_state(), up_reward, YEAR, replications=8, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        a = simulate_ctmc(two_state(), up_reward, YEAR, replications=np.int64(20),
+                          seed=np.uint32(3))
+        b = simulate_ctmc(two_state(), up_reward, YEAR, replications=20, seed=3)
+        assert a == b
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             simulate_ctmc(two_state(), up_reward, horizon, replications=8)
+
+
+class TestMemoryGuard:
+    def test_refuses_replications_beyond_memory_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"replications=10+ .*GB.*lower replications"):
+                simulate_ctmc(two_state(), up_reward, YEAR, replications=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_refuses_padded_table_beyond_memory_before_allocating(self):
+        # One hub reaches all 200,000 states: the padded table would be
+        # 200,000 x 199,999 entries, though the generator has 400,000.
+        n = 200_000
+        rows = np.concatenate([np.zeros(n - 1, dtype=int), np.arange(1, n)])
+        cols = np.concatenate([np.arange(1, n), np.zeros(n - 1, dtype=int)])
+        off = scipy.sparse.csr_matrix((np.ones(2 * (n - 1)), (rows, cols)), shape=(n, n))
+        exits = np.asarray(off.sum(axis=1)).ravel()
+        gen = (off - scipy.sparse.diags(exits)).tocsr()
+        initial = np.zeros(n)
+        initial[0] = 1.0
+        chain = Ctmc(tuple(range(n)), gen, initial)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"200000-state.*out-degree up to 199999.*GB"):
+                simulate_ctmc(chain, np.zeros(n), 1.0, replications=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestStatistics:
@@ -115,3 +195,21 @@ class TestStatistics:
         horizon = 4 * 1800.0
         est = simulate_ctmc(chain, up_reward, horizon, replications=600, seed=7)
         assert est.mean < 0.9
+
+    def test_absorption_mid_trajectory(self):
+        rate, horizon = 0.5, 4.0
+        est = simulate_ctmc(absorb_chain(rate), lambda s: s == "b", horizon,
+                            replications=4000, seed=12)
+        assert est.covers(absorbed_share(rate, horizon))
+        assert 0 < est.events < 4000
+
+    def test_successor_sampling_follows_rates(self):
+        # The hub leaves at total rate 6; leaf k takes share k/6 of exits.
+        chain = build_ctmc([("hub", f"leaf{k}", float(k)) for k in (1, 2, 3)],
+                           {"hub": 1.0, "leaf1": 0.0, "leaf2": 0.0, "leaf3": 0.0})
+        horizon = 0.5
+        left = absorbed_share(6.0, horizon)
+        for k in (1, 2, 3):
+            est = simulate_ctmc(chain, lambda s, k=k: s == f"leaf{k}", horizon,
+                                replications=6000, seed=30)
+            assert est.covers(k / 6.0 * left), k
