@@ -132,6 +132,9 @@ _STRING_CHOICES = {
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# Least value of each integer key: a simulation's confidence interval
+# needs two replications.
+_INT_MINIMUM = {"extra_nodes": 0, "search_cap": 0, "seed": 0, "replications": 2}
 
 
 def _parse_value(key: str, text: str):
@@ -149,10 +152,16 @@ def _parse_value(key: str, text: str):
         return _BOOL_WORDS[word]
     if declared.startswith("int"):
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise ConfigError(
                 f"configuration key {key!r}: expected an integer, got {text!r}") from None
+        least = _INT_MINIMUM[key]
+        if value < least:
+            raise ConfigError(
+                f"configuration key {key!r}: expected an integer of at least "
+                f"{least}, got {text!r}")
+        return value
     try:
         return float(text)
     except ValueError:

@@ -8,34 +8,47 @@ package needs:
   Grassmann-Taksar-Heyman elimination (no subtractions, so no
   cancellation), guarded by a strong-connectivity check and a residual
   test.
-* ``transient_distribution``: state distribution at time ``t`` by
-  uniformization.  The jump rate is ``q = 1.02 * max |diagonal|``.
+* ``transient_distribution``: state distribution at time ``t``.  The
+  uniformization jump rate is ``q = 1.02 * max |diagonal|``.
 * ``cumulative_occupancy`` and ``occupancy_from_each_start``: expected
   reward-weighted occupancy time over a finite horizon
   (availability-style rewards), from the initial distribution or from
   every start state.  Both are one kernel: the first is the initial
   distribution times the second.
 
-Each solve takes one of two routes, whichever a cost model built from
+Each solve takes one of three routes, whichever a cost model built from
 the chain's own state count, nonzero count and ``q*t`` estimates to be
-cheaper.  The vector series runs one Poisson-weighted series of sparse
-products, about ``q*t`` steps of fixed Python overhead plus the
-nonzeros.  Repeated squaring costs a few dense n x n products instead,
-which wins once ``q*t`` is large against n: rates in one model can span
-microseconds to years, so ``q*t`` can reach 1e13.  It splits the
-horizon into ``2**m`` equal subintervals, each carrying at most
-``_BASE_STEP_EVENTS`` expected jumps, builds the subinterval
-propagator ``M = exp(Q*dt)`` from a short series of sparse products,
-and chains subintervals by squaring::
+cheapest.  Rates in one model can span microseconds to years, so
+``q*t`` can reach 1e13.
 
-    M(2t) = M(t) M(t)          c(2t) = c(t) + M(t) c(t)
+* Vector series: one Poisson-weighted series of sparse products, about
+  ``q*t`` steps of fixed Python overhead plus the nonzeros.  Cheapest
+  while ``q*t`` is small.
+* Repeated squaring: a few dense n x n products, which win once ``q*t``
+  is large and n small (up to about 300 states).  It splits the
+  horizon into ``2**m`` equal subintervals, each carrying at most
+  ``_BASE_STEP_EVENTS`` expected jumps, builds the subinterval
+  propagator ``M = exp(Q*dt)`` from a short series of sparse products,
+  and chains subintervals by squaring::
 
-Occupancy is carried as the n x 2 block ``c = [C r, C 1]``, where
-``C = int_0^dt exp(Q*s) ds`` is never formed.  All terms are
-nonnegative, so the squaring never cancels, and the exact row-sum
-identities (``M`` stochastic, ``C`` rows summing to the elapsed time)
-are restored after every level.  Entries of ``M`` below
-``sqrt(tiny)`` are then flushed to zero, so no product is subnormal.
+      M(2t) = M(t) M(t)          c(2t) = c(t) + M(t) c(t)
+
+  Occupancy is carried as the n x 2 block ``c = [C r, C 1]``, where
+  ``C = int_0^dt exp(Q*s) ds`` is never formed.  All terms are
+  nonnegative, so the squaring never cancels, and the exact row-sum
+  identities (``M`` stochastic, ``C`` rows summing to the elapsed time)
+  are restored after every level.  Entries of ``M`` below
+  ``sqrt(tiny)`` are then flushed to zero, so no product is subnormal.
+* Implicit (on ``Q`` for occupancy, ``Q^T`` for the distribution):
+  equal steps of the L-stable Radau IIA method (three stages,
+  order 5; Reibman & Trivedi 1988, Malhotra, Muppala & Trivedi 1994),
+  each a real and a complex sparse LU solve, for stiff chains of a few
+  hundred states and more, where the n**3 of squaring dominates.  Its
+  cost does not grow with ``q*t``: the stiff components decay within a
+  step.  The step count is doubled, or sized from the error estimate,
+  until runs of N and 2N steps agree within ``tol``.  Occupancy is
+  integrated as the complement ``max(r) - r`` of the reward, so that
+  the estimate is relative to the small downtime-style quantity.
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Tuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "Ctmc",
@@ -70,7 +84,7 @@ _BASE_STEP_EVENTS = 8.0         # target q*dt for the squaring base step
 _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _PMF_GUARD = 1e-34              # stop the pmf recursion below this (mode-relative)
 _DENSE_BASE_MAX_N = 64          # up to here the base series uses a dense P
-_DENSE_ARRAYS = 3               # n x n float64 arrays squaring holds at once
+_DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
 
 # Route cost model, in seconds.  One series step (Python loop, one sparse
@@ -82,6 +96,33 @@ _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
 _STEP_S = 10e-6
 _NONZERO_S = 2e-9
 _FLOP_S = 1.0 / 30e9
+# One implicit step (a real and a complex sparse LU solve and the vector
+# updates) costs about 20 us plus 50 ns per generator nonzero, measured
+# the same way on on-premises PF and ARA chains of 528 to 2064 states
+# run to 300 steps or more.  The step count cannot be read off the
+# chain: 48 on chains that settle quickly, 190 to 1330 on the no-repair
+# PF families.  The model charges 1000, so a chain goes implicit only
+# where that route wins by a margin.
+_IMPLICIT_STEPS = 1000
+_SOLVE_S = 20e-6
+_SOLVE_NONZERO_S = 50e-9
+
+# Radau IIA (three stages, order 5) on a linear system z' = A z advances
+# a step of size h exactly as z <- R(hA) z, where R is the (2,3) Pade
+# approximant (1 + 2x/5 + x^2/20) / (1 - 3x/5 + 3x^2/20 - x^3/60) of exp.
+# Partial fractions split R into a real pole and a conjugate pair,
+#     R(x) = c1 / (x - p1) + 2 Re[c2 / (x - p2)],
+# so a step is one real and one complex shifted sparse solve.  The poles
+# are the roots of 60 - 36x + 9x^2 - x^3, the residues (60 + 24p + 3p^2)
+# / (-36 + 18p - 3p^2); written out so that importing runs no LAPACK.
+_RADAU_REAL_POLE = 3.637834252744496
+_RADAU_REAL_RESIDUE = -18.297498174845842
+_RADAU_COMPLEX_POLE = 2.6810828736277523 + 3.0504301992474105j
+_RADAU_COMPLEX_RESIDUE = 7.648749087422922 + 4.171640244747437j
+_RADAU_ERROR_DIVISOR = 31.0     # 2**5 - 1: Richardson estimate for order 5
+_IMPLICIT_FIRST_STEPS = 16
+_IMPLICIT_STEP_SAFETY = 1.2     # next pair sized for an estimate 1.2**5 below tol
+_IMPLICIT_MAX_STEPS = 4096
 
 
 class NotErgodicError(ValueError):
@@ -331,8 +372,9 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
         Nonnegative time in the generator's rate units.
     tol : float
         Bound on the uniformization truncation error of the vector-series
-        route.  The squaring route ignores it: each of its base steps
-        drops a fixed 1e-15 of Poisson mass.
+        route, and on the estimated error of each probability on the
+        implicit route.  The squaring route ignores it: each of its base
+        steps drops a fixed 1e-15 of Poisson mass.
 
     Returns
     -------
@@ -343,9 +385,14 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
-    if _series_is_cheaper(ctmc, q * t):
+    route = _route(ctmc, q * t)
+    if route == "series":
         return _vector_series(ctmc, q, t, tol)
-    pi = ctmc.initial @ _propagator(ctmc, q, t)
+    if route == "squaring":
+        pi = ctmc.initial @ _propagator(ctmc, q, t)
+    else:
+        pi = np.maximum(
+            _radau(ctmc.generator.T, ctmc.initial, t, tol, q * t, 1.0), 0.0)
     return pi / pi.sum()
 
 
@@ -365,8 +412,11 @@ def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
         Positive horizon in the generator's rate units.
     tol : float
         Bound on the truncation error relative to ``horizon`` on the
-        vector-series route.  The squaring route ignores it: each of its
-        base steps drops a fixed 1e-15 of Poisson mass.
+        vector-series route.  On the implicit route it bounds the
+        estimated error of each start's complement ``max(reward) *
+        horizon - occupancy`` relative to that complement.  The squaring
+        route ignores it: each of its base steps drops a fixed 1e-15 of
+        Poisson mass.
 
     Returns
     -------
@@ -385,8 +435,10 @@ def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     that share one generator and differ only in the initial state (node
     pools of different depths, over-provisioning levels) read their whole
     sweep off this vector.  ``tol`` bounds the truncation error relative
-    to ``horizon`` on the vector-series route only; the squaring route
-    drops a fixed 1e-15 of Poisson mass per base step.
+    to ``horizon`` on the vector-series route, and on the implicit route
+    the estimated error of each start's complement ``max(reward) *
+    horizon - occupancy`` relative to that complement; the squaring
+    route drops a fixed 1e-15 of Poisson mass per base step.
     """
     return _occupancy(ctmc, reward, horizon, tol)
 
@@ -399,9 +451,12 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if q == 0.0:
         return r * horizon
-    if _series_is_cheaper(ctmc, q * horizon):
+    route = _route(ctmc, q * horizon)
+    if route == "series":
         return _vector_series_all_starts(ctmc, q, horizon, tol, r)
-    return _propagator(ctmc, q, horizon, r)
+    if route == "squaring":
+        return _propagator(ctmc, q, horizon, r)
+    return _implicit_occupancy(ctmc, r, horizon, tol, q * horizon)
 
 
 def _check_time_and_tol(t: float, tol: float, allow_zero: bool) -> None:
@@ -430,15 +485,18 @@ def _squaring_levels(qt: float) -> int:
     return max(1, math.ceil(math.log2(qt / _BASE_STEP_EVENTS)))
 
 
-def _series_is_cheaper(ctmc: Ctmc, qt: float) -> bool:
-    """Whether a vector series is estimated to beat repeated squaring."""
+def _route(ctmc: Ctmc, qt: float) -> str:
+    """The route estimated cheapest: ``"series"``, ``"squaring"`` or ``"implicit"``."""
     n = ctmc.n
     nnz = ctmc.generator.nnz
-    series = _series_steps(qt) * (_STEP_S + _NONZERO_S * nnz)
     levels = _squaring_levels(qt)
     base = _series_steps(qt / (1 << levels)) * (_STEP_S + _NONZERO_S * n * nnz)
-    squaring = base + levels * (_STEP_S + 2.0 * n ** 3 * _FLOP_S)
-    return series <= squaring
+    costs = {
+        "series": _series_steps(qt) * (_STEP_S + _NONZERO_S * nnz),
+        "squaring": base + levels * (_STEP_S + 2.0 * n ** 3 * _FLOP_S),
+        "implicit": _IMPLICIT_STEPS * (_SOLVE_S + _SOLVE_NONZERO_S * nnz),
+    }
+    return min(costs, key=costs.__getitem__)   # ties keep the earlier route
 
 
 def _weights_and_tails(qt: float, tol: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -486,6 +544,79 @@ def _vector_series_all_starts(ctmc: Ctmc, q: float, t: float, tol: float,
             v = p_t @ v
     # Rescale so an all-ones reward integrates to exactly the horizon.
     return acc * (t / tails.sum())
+
+
+def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
+                        qt: float) -> np.ndarray:
+    """Occupancy from each start by Radau IIA on the complement of the reward.
+
+    The complement ``v(t) = int_0^t exp(Q s) ds @ d``, ``d = max(r) - r``,
+    solves ``v' = Q v + d`` from ``v(0) = 0``; integrating it makes the
+    error estimate relative to the small downtime-style quantity.
+    """
+    top = float(reward.max())
+    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, 0.0, top - reward)
+    return np.clip(top * t - v, 0.0, top * t)
+
+
+def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
+           floor: float, forcing: np.ndarray | None = None) -> np.ndarray:
+    """``z(t)`` of ``z' = a z + forcing`` by ``N`` equal Radau IIA steps.
+
+    A constant forcing is the augmented system ``[z, 1]' = [[a, forcing],
+    [0, 0]] [z, 1]``; each shifted solve against it is eliminated by
+    blocks, which leaves the forcing scaled by ``h / pole`` on the right
+    and keeps the sparse factors of ``h a - pole I`` free of a dense
+    column.  Steps of one size share the two factorizations.
+
+    Runs of ``N`` and ``2N`` steps give the order-5 estimate ``|z_N -
+    z_2N| / 31`` of each entry's error in ``z_2N``, which is returned once
+    every estimate is at most ``tol * max(|z_2N|, floor)``.  Otherwise the
+    estimate, falling like ``N**-5``, sizes the next pair; a pair beyond
+    ``_IMPLICIT_MAX_STEPS`` fails the solve.
+    """
+    n = a.shape[0]
+    _check_dense_fits(n)
+    a = sp.csc_matrix(a)
+    eye = sp.identity(n, format="csc")
+
+    def advance(steps: int) -> np.ndarray:
+        h = t / steps
+        # Symmetric mode keeps COLAMD's order but lays the factors out so
+        # that a solve runs about a third faster on the family chains.
+        real = splu(h * a - _RADAU_REAL_POLE * eye, options={"SymmetricMode": True})
+        cplx = splu(h * a - _RADAU_COMPLEX_POLE * eye, options={"SymmetricMode": True})
+        push_real = push_cplx = 0.0
+        if forcing is not None:
+            push_real = (h / _RADAU_REAL_POLE) * forcing
+            push_cplx = (h / _RADAU_COMPLEX_POLE) * forcing
+        z = z0
+        for _ in range(steps):
+            z = (_RADAU_REAL_RESIDUE * real.solve(z + push_real)
+                 + 2.0 * (_RADAU_COMPLEX_RESIDUE * cplx.solve(z + push_cplx)).real)
+        return z
+
+    steps = _IMPLICIT_FIRST_STEPS
+    coarse = advance(steps)
+    while True:
+        fine = advance(2 * steps)
+        estimate = np.abs(coarse - fine) / _RADAU_ERROR_DIVISOR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(estimate == 0.0, 0.0,
+                             estimate / np.maximum(np.abs(fine), floor))
+        worst = float(ratio.max())   # a NaN fails every test below
+        if worst <= tol:
+            return fine
+        target = steps * (worst / tol) ** 0.2 * _IMPLICIT_STEP_SAFETY
+        grown = (2 * steps if target <= 2 * steps
+                 else math.ceil(min(_IMPLICIT_MAX_STEPS, target)))
+        if 2 * grown > _IMPLICIT_MAX_STEPS:
+            raise ArithmeticError(
+                f"implicit solve of a {n}-state chain at q*t = {qt:.3g} did "
+                f"not converge: relative error estimate {worst:.2e} after "
+                f"{2 * steps} steps exceeds tolerance {tol:.1e}")
+        coarse = fine if grown == 2 * steps else advance(grown)
+        steps = grown
 
 
 def _propagator(ctmc: Ctmc, q: float, t: float,
@@ -565,7 +696,12 @@ def _rescale_occupancy(c: np.ndarray, elapsed: float) -> None:
 
 
 def _check_dense_fits(n: int) -> None:
-    """Refuse a squaring solve whose dense arrays exceed physical memory."""
+    """Refuse a stiff solve whose arrays could exceed physical memory.
+
+    Squaring holds three dense n x n float arrays.  The implicit route's
+    real and complex LU factors take as much at full fill, and SuperLU's
+    fill is unknown before factoring, so both routes apply one bound.
+    """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):   # no sysconf: cannot tell
@@ -573,6 +709,6 @@ def _check_dense_fits(n: int) -> None:
     needed = _DENSE_ARRAYS * 8 * n * n
     if needed > physical:
         raise ValueError(
-            f"a {n}-state chain needs about {needed / 1e9:.0f} GB for dense "
-            f"repeated squaring, more than the {physical / 1e9:.0f} GB of "
+            f"a {n}-state chain may need about {needed / 1e9:.0f} GB to solve "
+            f"over this horizon, more than the {physical / 1e9:.0f} GB of "
             f"physical memory; lower search_cap or extra_nodes")

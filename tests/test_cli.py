@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pcraft.ctmc
 from pcraft.cli import _build_parser, main
 from pcraft.config import ScenarioConfig
 from pcraft.integrity import build_integrity_model, integrity_breakdown
@@ -78,6 +79,34 @@ class TestExitCodes:
         code, out, err = run(["simulate", "--config", cfg, "--replications", "20",
                               "--seed", "-1"], capsys)
         assert (code, out, err) == (1, "", "pcraft: seed must be a non-negative integer, got -1\n")
+
+    @pytest.mark.parametrize("command,line", [
+        ("plan", "search_cap = -1"), ("avail", "extra_nodes = -2"),
+        ("simulate", "seed = -1"), ("simulate", "replications = 1"),
+    ])
+    def test_out_of_range_config_value_is_a_configuration_error(
+            self, tmp_path, capsys, command, line):
+        cfg = write_cfg(tmp_path, f"technique = PF\ndeployment = cloud\n{line}\n")
+        code, out, err = run([command, "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert repr(line.split(" = ")[0]) in err
+
+    def test_unconverged_solve_exits_one(self, tmp_path, capsys, monkeypatch):
+        # n = 1040 goes to the implicit route; a step ceiling it cannot
+        # meet makes the solve fail instead of returning an answer.
+        monkeypatch.setattr(pcraft.ctmc, "_IMPLICIT_MAX_STEPS", 32)
+        cfg = write_cfg(tmp_path, """
+            technique = PF
+            deployment = on-premises
+            node_variant = ft_tx
+            hw_crash_per_year = 6
+            horizon_hours = 2700
+            extra_nodes = 64
+        """)
+        code, out, err = run(["avail", "--config", cfg], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("pcraft: implicit solve of a 1040-state chain")
+        assert "did not converge" in err
 
     def test_python_dash_m_matches_main(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")

@@ -62,6 +62,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"'extra_nodes'.*expected an integer.*'2.5'"):
             parse_config("extra_nodes = 2.5\n")
 
+    @pytest.mark.parametrize("key,text,least", [
+        ("search_cap", "-1", 0), ("extra_nodes", "-2", 0), ("seed", "-1", 0),
+        ("replications", "1", 2),
+    ])
+    def test_int_below_its_range_names_the_key(self, key, text, least):
+        with pytest.raises(ConfigError,
+                           match=rf"'{key}'.*at least {least}, got '{text}'"):
+            parse_config(f"{key} = {text}\n")
+        assert getattr(parse_config(f"{key} = {least}\n"), key) == least
+
     def test_bad_bool_names_the_key(self):
         with pytest.raises(ConfigError, match=r"'parallel_recovery'.*expected a boolean"):
             parse_config("parallel_recovery = maybe\n")

@@ -13,11 +13,18 @@ import scipy.sparse
 import scipy.stats
 
 from pcraft.availability import AvailRates, ClusterSpec, build_availability_model
+import pcraft.ctmc as ctmc_module
 from pcraft.ctmc import (
+    _RADAU_COMPLEX_POLE,
+    _RADAU_COMPLEX_RESIDUE,
+    _RADAU_REAL_POLE,
+    _RADAU_REAL_RESIDUE,
     Ctmc,
     NotErgodicError,
+    _implicit_occupancy,
     _propagator,
-    _series_is_cheaper,
+    _radau,
+    _route,
     _vector_series,
     _vector_series_all_starts,
     build_ctmc,
@@ -346,8 +353,16 @@ class TestOccupancyFromEachStart:
         assert np.allclose(vec, YEAR, rtol=1e-9)
 
 
+def pf_family(pool: int, recovery_s: float = 15.0, repair_per_h=None):
+    """On-premises PF, num 15, 6 crashes/yr: the chain the planner solves."""
+    repair = None if repair_per_h is None else repair_per_h / HOUR
+    return build_availability_model(
+        ClusterSpec("PF", "on-premises", num=15, pool=pool),
+        AvailRates(6.0, 1.0 / recovery_s, repair))
+
+
 class TestOccupancyKernel:
-    """The two solver routes, the choice between them, and the old engine."""
+    """The three solver routes, the choice between them, and the old engine."""
 
     @pytest.mark.parametrize("n", [2, 9, 30, 80])
     def test_series_and_squaring_routes_agree(self, n):
@@ -372,14 +387,36 @@ class TestOccupancyKernel:
             AvailRates(6.0, 1.0 / 15.0)).ctmc
         qt = 1.02 * float(ara.exit_rates.max()) * YEAR
         assert ara.n == 1011 and qt == pytest.approx(6181.2)
-        assert _series_is_cheaper(ara, qt)
+        assert _route(ara, qt) == "series"
         # One cloud node at 6 crashes/yr, 1800 s recovery, 1947.5 h: the
         # series would take ~4500 Python steps against a few tiny squarings.
         node = build_availability_model(
             ClusterSpec("PF", "cloud", num=1), AvailRates(6.0, 1.0 / 1800.0)).ctmc
         qt = 1.02 * float(node.exit_rates.max()) * 1947.5 * HOUR
         assert node.n == 2 and qt == pytest.approx(3972.9)
-        assert not _series_is_cheaper(node, qt)
+        assert _route(node, qt) != "series"
+        assert _route(node, qt) == "squaring"
+        # The PF family at cap 64 over 2700 h (q*t ~ 1e7): squaring's
+        # n**3 at n = 1040 costs far more than sparse implicit steps.
+        pf = pf_family(64).ctmc
+        qt = 1.02 * float(pf.exit_rates.max()) * 2700 * HOUR
+        assert pf.n == 1040 and _route(pf, qt) == "implicit"
+
+    @pytest.mark.parametrize("n", [80, 150, 300])
+    def test_implicit_and_squaring_routes_agree(self, n):
+        rng = np.random.default_rng(n)
+        chain = random_generator_chain(rng, n)
+        reward = rng.uniform(0.0, 1.0, size=n)
+        q = 1.02 * float(chain.exit_rates.max())
+        for qt in (50.0, 3000.0, 1e6):
+            t = qt / q
+            squaring = _propagator(chain, q, t, reward)
+            implicit = _implicit_occupancy(chain, reward, t, 1e-10, qt)
+            complement = reward.max() * t - squaring
+            assert np.max(np.abs(implicit - squaring) / complement) <= 1e-9
+            pi_squaring = chain.initial @ _propagator(chain, q, t)
+            pi_implicit = _radau(chain.generator.T, chain.initial, t, 1e-10, qt, 1.0)
+            assert np.max(np.abs(pi_implicit - pi_squaring)) <= 1e-10
 
     def test_cumulative_is_initial_times_each_start(self):
         rng = np.random.default_rng(3)
@@ -407,17 +444,35 @@ class TestOccupancyKernel:
     # 10 + extra live nodes for extra = 0, 500, 1000.
     OLD_ARA_DOWNTIME = (0.9833333333333333, 0.33606031445451623, 0.22226434670327488)
 
-    @pytest.mark.parametrize("pool, recovery_s", sorted(OLD_PF_DOWNTIME))
-    def test_pf_family_matches_old_engine(self, pool, recovery_s):
-        model = build_availability_model(
-            ClusterSpec("PF", "on-premises", num=15, pool=pool),
-            AvailRates(6.0, 1.0 / recovery_s))
+    # Downtime shares of dense repeated squaring, before the implicit
+    # route took over chains of this size; same family, horizon and starts.
+    SQUARING_PF_DOWNTIME = {
+        (64, 15): (0.9639259259259588, 0.017066152267630752, 4.277790552198457e-05),
+        (64, 60): (0.9639259259259588, 0.01718967431424756, 0.00017109903173939678),
+        (64, 1800): (0.9639259259259588, 0.02195250633023027, 0.005118496206695244),
+        (128, 15): (0.9639259259259588, 4.277790552154048e-05, 4.277787652984255e-05),
+        (128, 60): (0.9639259259259588, 0.00017109903173917473, 0.00017109900277922918),
+        (128, 1800): (0.96392592592596, 0.0051184962068349105, 0.005118496179201015),
+    }
+
+    @staticmethod
+    def pf_family_downtime(pool, recovery_s):
+        model = pf_family(pool, recovery_s)
         horizon = 2700 * HOUR
         occ = occupancy_from_each_start(model.ctmc, model.up_reward, horizon)
-        got = [1.0 - occ[model.ctmc.index_of((15, extra))] / horizon
-               for extra in (0, pool // 2, pool)]
         assert model.ctmc.n == 16 * (pool + 1)
+        return [1.0 - occ[model.ctmc.index_of((15, extra))] / horizon
+                for extra in (0, pool // 2, pool)]
+
+    @pytest.mark.parametrize("pool, recovery_s", sorted(OLD_PF_DOWNTIME))
+    def test_pf_family_matches_old_engine(self, pool, recovery_s):
+        got = self.pf_family_downtime(pool, recovery_s)
         assert got == pytest.approx(self.OLD_PF_DOWNTIME[pool, recovery_s], rel=1e-8)
+
+    @pytest.mark.parametrize("pool, recovery_s", sorted(SQUARING_PF_DOWNTIME))
+    def test_large_pf_family_matches_squaring(self, pool, recovery_s):
+        got = self.pf_family_downtime(pool, recovery_s)
+        assert got == pytest.approx(self.SQUARING_PF_DOWNTIME[pool, recovery_s], rel=1e-8)
 
     def test_ara_family_matches_old_engine(self):
         model = build_availability_model(
@@ -442,7 +497,7 @@ class TestOccupancyKernel:
         initial[0] = 1.0
         chain = Ctmc(tuple(range(n)), gen, initial)
         horizon = 1e15 / (1.02 * 2.0)
-        assert not _series_is_cheaper(chain, 1e15)
+        assert _route(chain, 1e15) != "series"
         tracemalloc.start()
         try:
             for solve in (lambda: occupancy_from_each_start(chain, initial, horizon),
@@ -453,6 +508,80 @@ class TestOccupancyKernel:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+class TestImplicitRoute:
+    """Radau IIA: its constants, its failure mode and its output ranges."""
+
+    def test_poles_and_residues_match_the_pade_denominator(self):
+        # R(x) = (60 + 24x + 3x^2) / (60 - 36x + 9x^2 - x^3)
+        def numerator(x):
+            return 60.0 + 24.0 * x + 3.0 * x * x
+
+        def denominator(x):
+            return 60.0 - 36.0 * x + 9.0 * x * x - x ** 3
+
+        roots = np.roots([-1.0, 9.0, -36.0, 60.0])
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        upper = roots[roots.imag > 1e-9]
+        assert len(real) == 1 and len(upper) == 1
+        assert _RADAU_REAL_POLE == pytest.approx(real[0], rel=1e-14)
+        assert _RADAU_COMPLEX_POLE == pytest.approx(upper[0], rel=1e-14)
+        for pole, residue in ((_RADAU_REAL_POLE, _RADAU_REAL_RESIDUE),
+                              (_RADAU_COMPLEX_POLE, _RADAU_COMPLEX_RESIDUE)):
+            slope = -36.0 + 18.0 * pole - 3.0 * pole * pole
+            assert residue == pytest.approx(numerator(pole) / slope, rel=1e-13)
+        for x in (0.0, -0.5, -3.0, -1e3, 2.0j, -1.0 + 40.0j):
+            fractions = (_RADAU_REAL_RESIDUE / (x - _RADAU_REAL_POLE)
+                         + _RADAU_COMPLEX_RESIDUE / (x - _RADAU_COMPLEX_POLE)
+                         + np.conj(_RADAU_COMPLEX_RESIDUE)
+                         / (x - np.conj(_RADAU_COMPLEX_POLE)))
+            assert fractions == pytest.approx(numerator(x) / denominator(x),
+                                              rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_tol_bounds_every_start_relative_to_its_complement(self, tol):
+        # The complements (expected downtimes) span 0.96 to 4.3e-5 of the
+        # horizon; tol must hold for each start, not just the largest.
+        model = pf_family(64)
+        horizon = 2700 * HOUR
+        reference = horizon - occupancy_from_each_start(
+            model.ctmc, model.up_reward, horizon)
+        loose = horizon - occupancy_from_each_start(
+            model.ctmc, model.up_reward, horizon, tol)
+        assert np.max(np.abs(loose - reference) / reference) <= tol
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        model = pf_family(64)
+        monkeypatch.setattr(ctmc_module, "_IMPLICIT_MAX_STEPS", 32)
+        with pytest.raises(ArithmeticError,
+                           match=r"1040-state chain at q\*t = 9\.91e\+06.*"
+                                 r"estimate \d\.\d+e-\d+ after 32 steps"):
+            occupancy_from_each_start(model.ctmc, model.up_reward, 2700 * HOUR)
+
+    def test_transient_clips_negatives_and_renormalises(self):
+        # With pool repair the chain is cyclic; the stepper leaves
+        # hundreds of probabilities a hair below zero.
+        chain = pf_family(32, repair_per_h=1.0).ctmc
+        qt = 1.02 * float(chain.exit_rates.max()) * YEAR
+        assert chain.n == 648 and _route(chain, qt) == "implicit"
+        raw = _radau(chain.generator.T, chain.initial, YEAR, 1e-10, qt, 1.0)
+        assert raw.min() < 0.0
+        pi = transient_distribution(chain, YEAR)
+        assert pi.min() >= 0.0
+        assert pi.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(pi - raw)) <= 1e-12
+
+    def test_occupancy_is_clipped_to_the_reward_range(self, monkeypatch):
+        model = pf_family(64)
+        chain, up = model.ctmc, model.up_reward
+        horizon = 2700 * HOUR
+        complement = np.linspace(-1.0, horizon + 1.0, chain.n)
+        monkeypatch.setattr(ctmc_module, "_radau", lambda *args: complement)
+        occ = occupancy_from_each_start(chain, up, horizon)
+        assert occ.min() == 0.0 and occ.max() == horizon
+        inside = (complement >= 0.0) & (complement <= horizon)
+        assert np.array_equal(occ[inside], horizon - complement[inside])
 
 
 def _transitions_of(chain):
