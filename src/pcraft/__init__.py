@@ -27,12 +27,10 @@ from .availability import (
 from .ctmc import (
     Ctmc,
     NotErgodicError,
-    PoissonWindow,
     build_ctmc,
     cumulative_occupancy,
     indicator_reward,
     occupancy_from_each_start,
-    poisson_weights,
     steady_state,
     transient_distribution,
 )
@@ -50,7 +48,6 @@ from .perf import (
     degradation_ratios,
     parse_benchmark_csv,
     saturation_throughput,
-    write_benchmark_csv,
 )
 from .planner import PlanRequest, PlanResult, plan_capacity, required_base_nodes
 from .simulate import SimEstimate, simulate_ctmc
@@ -84,7 +81,6 @@ __all__ = [
     "PerfRow",
     "PlanRequest",
     "PlanResult",
-    "PoissonWindow",
     "SimEstimate",
     "TransientSplit",
     "availability",
@@ -102,11 +98,9 @@ __all__ = [
     "occupancy_from_each_start",
     "parse_benchmark_csv",
     "plan_capacity",
-    "poisson_weights",
     "required_base_nodes",
     "saturation_throughput",
     "simulate_ctmc",
     "steady_state",
     "transient_distribution",
-    "write_benchmark_csv",
 ]

@@ -105,9 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which canned sweep to run")
     p = add("simulate", _cmd_simulate,
             "Monte Carlo availability estimate of the configured cluster.")
-    p.add_argument("--replications", type=int, default=None,
+    # Parsed and range-checked as the config keys they override.
+    p.add_argument("--replications", default=None,
                    help="override the config replication count")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", default=None,
                    help="override the config seed")
     return parser
 
@@ -228,9 +229,10 @@ def _cmd_sweep(args, config: ScenarioConfig):
 
 
 def _cmd_simulate(args, config: ScenarioConfig):
-    replications = (args.replications if args.replications is not None
-                    else config.replications)
-    seed = args.seed if args.seed is not None else config.seed
+    for key in ("replications", "seed"):
+        if getattr(args, key) is not None:
+            config.set_value(key, getattr(args, key))
+    replications, seed = config.replications, config.seed
     rows = []
     for variant in _variants_for(config):
         base, extra, model = _cluster_model(config, variant)

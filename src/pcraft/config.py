@@ -57,6 +57,10 @@ class ScenarioConfig:
     def horizon_s(self) -> float:
         return self.horizon_hours * HOUR
 
+    def set_value(self, key: str, text: str) -> None:
+        """Set ``key`` from its text spelling, by the rules of a config file line."""
+        setattr(self, key, _parse_value(key, text))
+
     def require(self, *keys: str) -> None:
         for key in keys:
             if getattr(self, key) is None:
@@ -184,7 +188,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate configuration key {key!r}")
         seen.add(key)
-        setattr(config, key, _parse_value(key, value))
+        config.set_value(key, value)
     return config
 
 

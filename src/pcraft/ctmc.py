@@ -16,20 +16,16 @@ package needs:
   every start state.  Both are one kernel: the first is the initial
   distribution times the second.
 
-Each solve takes one of three routes, whichever a cost model built from
-the chain's own state count, nonzero count and ``q*t`` estimates to be
-cheapest.  Rates in one model can span microseconds to years, so
-``q*t`` can reach 1e13.
+Each solve takes one of two routes, chosen by the state count alone.
+Rates in one model can span microseconds to years, so ``q*t`` can reach
+1e13; neither route's cost grows with it beyond a logarithm.
 
-* Vector series: one Poisson-weighted series of sparse products, about
-  ``q*t`` steps of fixed Python overhead plus the nonzeros.  Cheapest
-  while ``q*t`` is small.
-* Repeated squaring: a few dense n x n products, which win once ``q*t``
-  is large and n small (up to about 300 states).  It splits the
-  horizon into ``2**m`` equal subintervals, each carrying at most
-  ``_BASE_STEP_EVENTS`` expected jumps, builds the subinterval
-  propagator ``M = exp(Q*dt)`` from a short series of sparse products,
-  and chains subintervals by squaring::
+* Repeated squaring, for chains of at most ``_SQUARING_MAX_N`` states:
+  a few dense n x n products.  It splits the horizon into ``2**m``
+  equal subintervals, each carrying at most ``_BASE_STEP_EVENTS``
+  expected jumps, builds the subinterval propagator ``M = exp(Q*dt)``
+  from a short series of sparse products, and chains subintervals by
+  squaring::
 
       M(2t) = M(t) M(t)          c(2t) = c(t) + M(t) c(t)
 
@@ -39,16 +35,23 @@ cheapest.  Rates in one model can span microseconds to years, so
   identities (``M`` stochastic, ``C`` rows summing to the elapsed time)
   are restored after every level.  Entries of ``M`` below
   ``sqrt(tiny)`` are then flushed to zero, so no product is subnormal.
-* Implicit (on ``Q`` for occupancy, ``Q^T`` for the distribution):
-  equal steps of the L-stable Radau IIA method (three stages,
-  order 5; Reibman & Trivedi 1988, Malhotra, Muppala & Trivedi 1994),
-  each a real and a complex sparse LU solve, for stiff chains of a few
-  hundred states and more, where the n**3 of squaring dominates.  Its
-  cost does not grow with ``q*t``: the stiff components decay within a
-  step.  The step count is doubled, or sized from the error estimate,
-  until runs of N and 2N steps agree within ``tol``.  Occupancy is
-  integrated as the complement ``max(r) - r`` of the reward, so that
-  the estimate is relative to the small downtime-style quantity.
+* Implicit (on ``Q`` for occupancy, ``Q^T`` for the distribution), for
+  larger chains: equal steps of the L-stable Radau IIA method (three
+  stages, order 5; Reibman & Trivedi 1988, Malhotra, Muppala & Trivedi
+  1994), each a real and a complex sparse LU solve.  Its cost does not
+  grow with ``q*t``: the stiff components decay within a step.  The
+  step count is doubled, or sized from the error estimate, until runs
+  of N and 2N steps agree within ``tol``.  Occupancy is integrated as
+  the complement ``max(r) - r`` of the reward, so that the estimate is
+  relative to the small downtime-style quantity.
+
+The implicit route's floor of 48 steps and four factorizations costs
+more than the n**3 products of squaring on small chains, and less once
+n**3 grows.  One round of the on-premises PF pool and ARA extras sweeps
+(chains of 32 to 1040 states; the ``onprem-plan`` benchmark workload)
+took 2.09, 1.92, 1.81, 1.90, 1.90 and 2.01 s with the switch at 64, 96,
+128, 160, 256 and 300 states (median of 5, one OpenBLAS thread, 2-core
+x86_64), so squaring keeps chains of up to 128 states.
 """
 
 from __future__ import annotations
@@ -85,27 +88,8 @@ _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _PMF_GUARD = 1e-34              # stop the pmf recursion below this (mode-relative)
 _DENSE_BASE_MAX_N = 64          # up to here the base series uses a dense P
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
+_SQUARING_MAX_N = 128           # larger chains take the implicit route
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
-
-# Route cost model, in seconds.  One series step (Python loop, one sparse
-# product, the vector updates) costs about 10 us plus 2 ns per generator
-# nonzero; a dense matmul runs at about 30 GFLOP/s.  Measured on one
-# OpenBLAS thread of an x86_64 box (2 cores, numpy 2.4, scipy 1.17) by
-# timing the vector series at q*t = 3000 on random chains of 2 to 5000
-# states and dense products at n = 256 to 1040 (32 to 46 GFLOP/s).
-_STEP_S = 10e-6
-_NONZERO_S = 2e-9
-_FLOP_S = 1.0 / 30e9
-# One implicit step (a real and a complex sparse LU solve and the vector
-# updates) costs about 20 us plus 50 ns per generator nonzero, measured
-# the same way on on-premises PF and ARA chains of 528 to 2064 states
-# run to 300 steps or more.  The step count cannot be read off the
-# chain: 48 on chains that settle quickly, 190 to 1330 on the no-repair
-# PF families.  The model charges 1000, so a chain goes implicit only
-# where that route wins by a margin.
-_IMPLICIT_STEPS = 1000
-_SOLVE_S = 20e-6
-_SOLVE_NONZERO_S = 50e-9
 
 # Radau IIA (three stages, order 5) on a linear system z' = A z advances
 # a step of size h exactly as z <- R(hA) z, where R is the (2,3) Pade
@@ -371,10 +355,9 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     t : float
         Nonnegative time in the generator's rate units.
     tol : float
-        Bound on the uniformization truncation error of the vector-series
-        route, and on the estimated error of each probability on the
-        implicit route.  The squaring route ignores it: each of its base
-        steps drops a fixed 1e-15 of Poisson mass.
+        Bound on the estimated error of each probability on the implicit
+        route.  The squaring route ignores it: each of its base steps
+        drops a fixed 1e-15 of Poisson mass.
 
     Returns
     -------
@@ -385,10 +368,7 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
-    route = _route(ctmc, q * t)
-    if route == "series":
-        return _vector_series(ctmc, q, t, tol)
-    if route == "squaring":
+    if _route(ctmc) == "squaring":
         pi = ctmc.initial @ _propagator(ctmc, q, t)
     else:
         pi = np.maximum(
@@ -411,12 +391,11 @@ def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     horizon : float
         Positive horizon in the generator's rate units.
     tol : float
-        Bound on the truncation error relative to ``horizon`` on the
-        vector-series route.  On the implicit route it bounds the
-        estimated error of each start's complement ``max(reward) *
-        horizon - occupancy`` relative to that complement.  The squaring
-        route ignores it: each of its base steps drops a fixed 1e-15 of
-        Poisson mass.
+        Bound on the implicit route's estimated error of each start's
+        complement ``max(reward) * horizon - occupancy`` relative to that
+        complement; a complement within rounding of zero counts as met.
+        The squaring route ignores it: each of its base steps drops a
+        fixed 1e-15 of Poisson mass.
 
     Returns
     -------
@@ -434,11 +413,10 @@ def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     deterministic start, but computed in a single pass.  Model families
     that share one generator and differ only in the initial state (node
     pools of different depths, over-provisioning levels) read their whole
-    sweep off this vector.  ``tol`` bounds the truncation error relative
-    to ``horizon`` on the vector-series route, and on the implicit route
-    the estimated error of each start's complement ``max(reward) *
-    horizon - occupancy`` relative to that complement; the squaring
-    route drops a fixed 1e-15 of Poisson mass per base step.
+    sweep off this vector.  ``tol`` bounds the implicit route's estimated
+    error of each start's complement ``max(reward) * horizon - occupancy``
+    relative to that complement, as in :func:`cumulative_occupancy`; the
+    squaring route drops a fixed 1e-15 of Poisson mass per base step.
     """
     return _occupancy(ctmc, reward, horizon, tol)
 
@@ -451,10 +429,7 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if q == 0.0:
         return r * horizon
-    route = _route(ctmc, q * horizon)
-    if route == "series":
-        return _vector_series_all_starts(ctmc, q, horizon, tol, r)
-    if route == "squaring":
+    if _route(ctmc) == "squaring":
         return _propagator(ctmc, q, horizon, r)
     return _implicit_occupancy(ctmc, r, horizon, tol, q * horizon)
 
@@ -476,27 +451,13 @@ def _check_reward(ctmc: Ctmc, reward: np.ndarray) -> np.ndarray:
     return r
 
 
-def _series_steps(qt: float) -> float:
-    """Terms of a Poisson(qt) window at tolerance 1e-14 or 1e-15, within a few."""
-    return qt + 8.0 * math.sqrt(qt) + 16.0
-
-
 def _squaring_levels(qt: float) -> int:
     return max(1, math.ceil(math.log2(qt / _BASE_STEP_EVENTS)))
 
 
-def _route(ctmc: Ctmc, qt: float) -> str:
-    """The route estimated cheapest: ``"series"``, ``"squaring"`` or ``"implicit"``."""
-    n = ctmc.n
-    nnz = ctmc.generator.nnz
-    levels = _squaring_levels(qt)
-    base = _series_steps(qt / (1 << levels)) * (_STEP_S + _NONZERO_S * n * nnz)
-    costs = {
-        "series": _series_steps(qt) * (_STEP_S + _NONZERO_S * nnz),
-        "squaring": base + levels * (_STEP_S + 2.0 * n ** 3 * _FLOP_S),
-        "implicit": _IMPLICIT_STEPS * (_SOLVE_S + _SOLVE_NONZERO_S * nnz),
-    }
-    return min(costs, key=costs.__getitem__)   # ties keep the earlier route
+def _route(ctmc: Ctmc) -> str:
+    """``"squaring"`` up to ``_SQUARING_MAX_N`` states, ``"implicit"`` above."""
+    return "squaring" if ctmc.n <= _SQUARING_MAX_N else "implicit"
 
 
 def _weights_and_tails(qt: float, tol: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -515,52 +476,27 @@ def _uniformized(ctmc: Ctmc, q: float) -> sp.csr_matrix:
             + ctmc.generator.multiply(1.0 / q)).tocsr()
 
 
-def _vector_series(ctmc: Ctmc, q: float, t: float, tol: float) -> np.ndarray:
-    """Single uniformization series on the initial row vector."""
-    left, w, _ = _weights_and_tails(q * t, min(tol, 1e-14))
-    right = left + len(w) - 1
-    p_from = _uniformized(ctmc, q).T.tocsr()   # x P computed as P^T x
-
-    x = ctmc.initial.astype(float)
-    acc = np.zeros(ctmc.n)
-    for k in range(right + 1):
-        if k >= left:
-            acc += w[k - left] * x
-        if k < right:
-            x = p_from @ x
-    return acc / acc.sum()
-
-
-def _vector_series_all_starts(ctmc: Ctmc, q: float, t: float, tol: float,
-                              reward: np.ndarray) -> np.ndarray:
-    left, w, tails = _weights_and_tails(q * t, min(tol, 1e-14))
-    right = left + len(w) - 1
-    p_t = _uniformized(ctmc, q)
-    v = reward.astype(float)
-    acc = np.zeros(ctmc.n)
-    for k in range(right + 1):
-        acc += tails[k] * v
-        if k < right:
-            v = p_t @ v
-    # Rescale so an all-ones reward integrates to exactly the horizon.
-    return acc * (t / tails.sum())
-
-
 def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
                         qt: float) -> np.ndarray:
     """Occupancy from each start by Radau IIA on the complement of the reward.
 
     The complement ``v(t) = int_0^t exp(Q s) ds @ d``, ``d = max(r) - r``,
     solves ``v' = Q v + d`` from ``v(0) = 0``; integrating it makes the
-    error estimate relative to the small downtime-style quantity.
+    error estimate relative to the small downtime-style quantity.  A
+    start that is absorbing at ``max(r)`` has a complement of exactly
+    zero, which the LU solves leave as rounding noise of up to about
+    ``n * eps * max(r) * t``; no step count makes that converge.
     """
     top = float(reward.max())
-    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, 0.0, top - reward)
+    noise = ctmc.n * np.finfo(float).eps * top * t
+    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, 0.0, top - reward,
+               noise)
     return np.clip(top * t - v, 0.0, top * t)
 
 
 def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
-           floor: float, forcing: np.ndarray | None = None) -> np.ndarray:
+           floor: float, forcing: np.ndarray | None = None,
+           noise: float = 0.0) -> np.ndarray:
     """``z(t)`` of ``z' = a z + forcing`` by ``N`` equal Radau IIA steps.
 
     A constant forcing is the augmented system ``[z, 1]' = [[a, forcing],
@@ -571,7 +507,8 @@ def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
 
     Runs of ``N`` and ``2N`` steps give the order-5 estimate ``|z_N -
     z_2N| / 31`` of each entry's error in ``z_2N``, which is returned once
-    every estimate is at most ``tol * max(|z_2N|, floor)``.  Otherwise the
+    every estimate is at most ``tol * max(|z_2N|, floor)`` or both runs
+    of its entry lie within ``noise`` of zero.  Otherwise the
     estimate, falling like ``N**-5``, sizes the next pair; a pair beyond
     ``_IMPLICIT_MAX_STEPS`` fails the solve.
     """
@@ -601,9 +538,9 @@ def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
     while True:
         fine = advance(2 * steps)
         estimate = np.abs(coarse - fine) / _RADAU_ERROR_DIVISOR
+        settled = (estimate == 0.0) | (np.maximum(np.abs(coarse), np.abs(fine)) <= noise)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(estimate == 0.0, 0.0,
-                             estimate / np.maximum(np.abs(fine), floor))
+            ratio = np.where(settled, 0.0, estimate / np.maximum(np.abs(fine), floor))
         worst = float(ratio.max())   # a NaN fails every test below
         if worst <= tol:
             return fine
@@ -696,11 +633,13 @@ def _rescale_occupancy(c: np.ndarray, elapsed: float) -> None:
 
 
 def _check_dense_fits(n: int) -> None:
-    """Refuse a stiff solve whose arrays could exceed physical memory.
+    """Refuse a solve whose arrays could exceed physical memory.
 
     Squaring holds three dense n x n float arrays.  The implicit route's
     real and complex LU factors take as much at full fill, and SuperLU's
     fill is unknown before factoring, so both routes apply one bound.
+    It depends on n alone, so a chain it refuses is refused at every
+    ``q*t``.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -709,6 +648,6 @@ def _check_dense_fits(n: int) -> None:
     needed = _DENSE_ARRAYS * 8 * n * n
     if needed > physical:
         raise ValueError(
-            f"a {n}-state chain may need about {needed / 1e9:.0f} GB to solve "
-            f"over this horizon, more than the {physical / 1e9:.0f} GB of "
-            f"physical memory; lower search_cap or extra_nodes")
+            f"a {n}-state chain may need about {needed / 1e9:.0f} GB to solve, "
+            f"more than the {physical / 1e9:.0f} GB of physical memory; lower "
+            f"search_cap or extra_nodes")

@@ -74,11 +74,21 @@ class TestExitCodes:
         assert "latency threshold" in err
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
-        # numpy's own message ("expected non-negative integer") names no parameter.
+        # numpy's own message ("expected non-negative integer") names no
+        # parameter; the flag is checked as the config key it overrides.
         cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")
         code, out, err = run(["simulate", "--config", cfg, "--replications", "20",
                               "--seed", "-1"], capsys)
-        assert (code, out, err) == (1, "", "pcraft: seed must be a non-negative integer, got -1\n")
+        assert (code, out, err) == (
+            2, "", "pcraft: configuration key 'seed': expected an integer of at least 0, "
+                   "got '-1'\n")
+
+    def test_single_replication_flag_is_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")
+        code, out, err = run(["simulate", "--config", cfg, "--replications", "1"], capsys)
+        assert (code, out, err) == (
+            2, "", "pcraft: configuration key 'replications': expected an integer of "
+                   "at least 2, got '1'\n")
 
     @pytest.mark.parametrize("command,line", [
         ("plan", "search_cap = -1"), ("avail", "extra_nodes = -2"),

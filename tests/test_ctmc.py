@@ -13,6 +13,7 @@ import scipy.sparse
 import scipy.stats
 
 from pcraft.availability import AvailRates, ClusterSpec, build_availability_model
+from pcraft.integrity import build_integrity_model, derive_integrity_rates
 import pcraft.ctmc as ctmc_module
 from pcraft.ctmc import (
     _RADAU_COMPLEX_POLE,
@@ -25,8 +26,6 @@ from pcraft.ctmc import (
     _propagator,
     _radau,
     _route,
-    _vector_series,
-    _vector_series_all_starts,
     build_ctmc,
     cumulative_occupancy,
     indicator_reward,
@@ -35,7 +34,8 @@ from pcraft.ctmc import (
     steady_state,
     transient_distribution,
 )
-from pcraft.units import HOUR, YEAR
+from pcraft.units import HOUR, MONTH, YEAR
+from pcraft.variants import NODE_VARIANTS
 
 # Closed-form oracle values, frozen.
 PI_UP_12PY_30MIN = 0.9993160054719562    # rho/(lam+rho), lam=12/yr, rho=1/1800s
@@ -362,53 +362,31 @@ def pf_family(pool: int, recovery_s: float = 15.0, repair_per_h=None):
 
 
 class TestOccupancyKernel:
-    """The three solver routes, the choice between them, and the old engine."""
+    """The two solver routes, the choice between them, and the old engine."""
 
-    @pytest.mark.parametrize("n", [2, 9, 30, 80])
-    def test_series_and_squaring_routes_agree(self, n):
-        rng = np.random.default_rng(n)
-        chain = random_generator_chain(rng, n)
-        reward = rng.uniform(0.0, 1.0, size=n)
-        q = 1.02 * float(chain.exit_rates.max())
-        for qt in (50.0, 700.0, 3000.0):
-            t = qt / q
-            series = _vector_series_all_starts(chain, q, t, 1e-10, reward)
-            squaring = _propagator(chain, q, t, reward)
-            assert np.max(np.abs(series - squaring)) <= 1e-12 * t
-            pi_series = _vector_series(chain, q, t, 1e-10)
-            pi_squaring = chain.initial @ _propagator(chain, q, t)
-            assert np.max(np.abs(pi_series - pi_squaring)) <= 1e-12
-
-    def test_route_follows_cost_not_a_fixed_qt(self):
+    def test_route_reads_the_state_count(self):
+        rng = np.random.default_rng(0)
+        assert _route(random_generator_chain(rng, 128)) == "squaring"
+        assert _route(random_generator_chain(rng, 129)) == "implicit"
         # On-premises ARA at 6 crashes/yr, base 10, 1000 extras: a sparse
-        # pure death chain whose series is far cheaper than squaring.
+        # pure death chain.
         ara = build_availability_model(
             ClusterSpec("ARA", "on-premises", num=10, op=1000),
             AvailRates(6.0, 1.0 / 15.0)).ctmc
-        qt = 1.02 * float(ara.exit_rates.max()) * YEAR
-        assert ara.n == 1011 and qt == pytest.approx(6181.2)
-        assert _route(ara, qt) == "series"
-        # One cloud node at 6 crashes/yr, 1800 s recovery, 1947.5 h: the
-        # series would take ~4500 Python steps against a few tiny squarings.
+        assert ara.n == 1011 and _route(ara) == "implicit"
         node = build_availability_model(
             ClusterSpec("PF", "cloud", num=1), AvailRates(6.0, 1.0 / 1800.0)).ctmc
-        qt = 1.02 * float(node.exit_rates.max()) * 1947.5 * HOUR
-        assert node.n == 2 and qt == pytest.approx(3972.9)
-        assert _route(node, qt) != "series"
-        assert _route(node, qt) == "squaring"
-        # The PF family at cap 64 over 2700 h (q*t ~ 1e7): squaring's
-        # n**3 at n = 1040 costs far more than sparse implicit steps.
+        assert node.n == 2 and _route(node) == "squaring"
         pf = pf_family(64).ctmc
-        qt = 1.02 * float(pf.exit_rates.max()) * 2700 * HOUR
-        assert pf.n == 1040 and _route(pf, qt) == "implicit"
+        assert pf.n == 1040 and _route(pf) == "implicit"
 
-    @pytest.mark.parametrize("n", [80, 150, 300])
+    @pytest.mark.parametrize("n", [2, 9, 30, 80, 150, 300])
     def test_implicit_and_squaring_routes_agree(self, n):
         rng = np.random.default_rng(n)
         chain = random_generator_chain(rng, n)
         reward = rng.uniform(0.0, 1.0, size=n)
         q = 1.02 * float(chain.exit_rates.max())
-        for qt in (50.0, 3000.0, 1e6):
+        for qt in (50.0, 700.0, 3000.0, 1e6):
             t = qt / q
             squaring = _propagator(chain, q, t, reward)
             implicit = _implicit_occupancy(chain, reward, t, 1e-10, qt)
@@ -484,9 +462,9 @@ class TestOccupancyKernel:
         assert got == pytest.approx(self.OLD_ARA_DOWNTIME, rel=1e-8)
 
     def test_squaring_refuses_chains_beyond_physical_memory(self):
-        # A 200,000-state birth-death chain at q*t ~ 1e15 goes to squaring,
-        # whose dense arrays would take about 1 TB.  It must be refused
-        # before anything that size is allocated.
+        # A 200,000-state birth-death chain at q*t ~ 1e15: the implicit
+        # route's LU factors may fill to dense arrays of about 1 TB.  It
+        # must be refused before anything that size is allocated.
         n = 200_000
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         assert 3 * 8 * n * n > physical
@@ -497,7 +475,6 @@ class TestOccupancyKernel:
         initial[0] = 1.0
         chain = Ctmc(tuple(range(n)), gen, initial)
         horizon = 1e15 / (1.02 * 2.0)
-        assert _route(chain, 1e15) != "series"
         tracemalloc.start()
         try:
             for solve in (lambda: occupancy_from_each_start(chain, initial, horizon),
@@ -551,6 +528,43 @@ class TestImplicitRoute:
             model.ctmc, model.up_reward, horizon, tol)
         assert np.max(np.abs(loose - reference) / reference) <= tol
 
+    @pytest.mark.parametrize("horizon", [1e4, 1e6])
+    def test_start_absorbing_at_the_top_reward_converges(self, horizon):
+        # State 399 is absorbing and carries max(reward), so its complement
+        # is exactly zero; the LU solves leave about 1e-10 of noise there,
+        # which no step count brings within tol of zero relative to itself.
+        n = 400
+        transitions = [(i, i + 1, 1.0 + 0.01 * i) for i in range(n - 1)]
+        transitions += [(i, i - 1, 0.5) for i in range(1, n - 1)]
+        chain = build_ctmc(transitions, {i: float(i == 0) for i in range(n)})
+        reward = np.zeros(n)
+        reward[-1] = 1.0
+        q = 1.02 * float(chain.exit_rates.max())
+        squaring = _propagator(chain, q, horizon, reward)
+        implicit = _implicit_occupancy(chain, reward, horizon, 1e-10, q * horizon)
+        assert implicit == pytest.approx(squaring, rel=1e-12)
+        assert _route(chain) == "implicit"
+        assert cumulative_occupancy(chain, reward, horizon) == pytest.approx(
+            squaring[0], rel=1e-12)
+
+    @pytest.mark.parametrize("variant, per_month, hours",
+                             [("ft_ilr", 10, 8766), ("ft_ilr", 100, 720), ("ft_tx", 100, 8766)])
+    def test_absorbing_crash_of_the_integrity_chain_converges(self, variant, per_month,
+                                                              hours):
+        # On premises the Crash state is absorbing and carries the down
+        # reward.  Squaring serves these 3- and 4-state chains, but the
+        # implicit route must not fail on them either: here a run of the
+        # complement from Crash came out exactly 0 and the other not.
+        rates = derive_integrity_rates(per_month / MONTH, NODE_VARIANTS[variant].split,
+                                       None)
+        chain = build_integrity_model(rates)
+        down = indicator_reward(chain, lambda s: s in ("Crash", "Retry"))
+        horizon = hours * HOUR
+        q = 1.02 * float(chain.exit_rates.max())
+        squaring = _propagator(chain, q, horizon, down)
+        implicit = _implicit_occupancy(chain, down, horizon, 1e-10, q * horizon)
+        assert implicit == pytest.approx(squaring, rel=1e-10)
+
     def test_unconverged_solve_raises(self, monkeypatch):
         model = pf_family(64)
         monkeypatch.setattr(ctmc_module, "_IMPLICIT_MAX_STEPS", 32)
@@ -564,7 +578,7 @@ class TestImplicitRoute:
         # hundreds of probabilities a hair below zero.
         chain = pf_family(32, repair_per_h=1.0).ctmc
         qt = 1.02 * float(chain.exit_rates.max()) * YEAR
-        assert chain.n == 648 and _route(chain, qt) == "implicit"
+        assert chain.n == 648 and _route(chain) == "implicit"
         raw = _radau(chain.generator.T, chain.initial, YEAR, 1e-10, qt, 1.0)
         assert raw.min() < 0.0
         pi = transient_distribution(chain, YEAR)

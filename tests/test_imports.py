@@ -1,6 +1,7 @@
-"""Static hygiene of the package: no unused imports, no dangling ``__all__``.
+"""Static hygiene of the package: no unused imports, no dangling ``__all__``,
+no orphaned private names.
 
-Both rules read the source with ``ast`` and import nothing.  A name
+The rules read the source with ``ast`` and import nothing.  A name
 counts as used when the module loads it anywhere (annotations included)
 or re-exports it through ``__all__``.
 """
@@ -68,6 +69,30 @@ def test_all_names_are_defined(path):
     tree = parse(path)
     missing = sorted(set(exported_names(tree)) - defined_names(tree))
     assert not missing, f"{path.name} exports undefined names: {', '.join(missing)}"
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names loaded, read as attributes, or imported by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_orphaned_private_names():
+    trees = {path: parse(path) for path in MODULES}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    orphans = sorted(f"{path.name}: {name}"
+                     for path, tree in trees.items()
+                     for name in defined_names(tree) - set(imported_names(tree))
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in referenced)
+    assert not orphans, f"private names nothing in the package uses: {', '.join(orphans)}"
 
 
 def test_every_module_is_checked():

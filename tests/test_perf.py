@@ -11,8 +11,8 @@ from pcraft import (
     degradation_ratios,
     parse_benchmark_csv,
     saturation_throughput,
-    write_benchmark_csv,
 )
+from pcraft.perf import write_benchmark_csv
 
 DATA = Path(__file__).parent / "data"
 
