@@ -4,9 +4,9 @@ The package answers sizing questions for clusters built from
 fault-tolerant node variants: how many nodes serve the load once the
 variant's throughput penalty is paid, and how many extras (standbys or
 over-provisioned actives) reach an availability target.  Everything is
-grounded in small continuous-time Markov chains solved by a
-uniformization engine, with a discrete-event simulator as an
-independent cross-check.
+grounded in small continuous-time Markov chains, solved by repeated
+squaring or implicit Radau IIA steps, with a discrete-event simulator
+as an independent cross-check.
 """
 
 from .availability import (

@@ -86,6 +86,14 @@ class ClusterSpec:
         if self.technique == ARA and self.pool:
             raise ValueError("ARA clusters have no standby pool; use op")
 
+    @classmethod
+    def with_extra(cls, technique: str, deployment: str, num: int,
+                   extra: int) -> ClusterSpec:
+        """``extra`` nodes as over-provisioned actives (ARA) or standbys (PF)."""
+        if technique == ARA:
+            return cls(technique, deployment, num=num, op=extra)
+        return cls(technique, deployment, num=num, pool=extra)
+
 
 @dataclass(frozen=True)
 class AvailRates:

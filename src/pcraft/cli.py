@@ -23,12 +23,7 @@ import csv
 import functools
 import sys
 
-from .availability import (
-    ARA,
-    ClusterSpec,
-    availability,
-    build_availability_model,
-)
+from .availability import ClusterSpec, availability, build_availability_model
 from .config import ConfigError, ScenarioConfig, load_config
 from .integrity import build_integrity_model, integrity_breakdown
 from .perf import degradation_ratios, parse_benchmark_csv, saturation_throughput
@@ -89,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "degradation ratios versus native.")
     p.add_argument("curves", nargs="+", metavar="APP:VARIANT:CSV",
                    help="benchmark curve labelled as application:variant:path")
-    p.add_argument("--latency-threshold-ms", type=float, default=None,
+    # Parsed and range-checked as the config key it overrides.
+    p.add_argument("--latency-threshold-ms", default=None,
                    help="latency bound defining saturation (required here "
                         "or via the config key latency_threshold_ms)")
 
@@ -147,20 +143,16 @@ def _cluster_model(config: ScenarioConfig, variant: str):
     config.require("technique", "deployment")
     base = config.base_nodes(variant)
     extra = config.extra_nodes
-    if config.technique == ARA:
-        spec = ClusterSpec(ARA, config.deployment, num=base, op=extra)
-    else:
-        spec = ClusterSpec(config.technique, config.deployment, num=base,
-                           pool=extra)
+    spec = ClusterSpec.with_extra(config.technique, config.deployment, base, extra)
     model = build_availability_model(spec, config.avail_rates(),
                                      config.parallel_recovery)
     return base, extra, model
 
 
 def _cmd_ingest(args, config: ScenarioConfig):
-    threshold = args.latency_threshold_ms
-    if threshold is None:
-        threshold = config.latency_threshold_ms
+    if args.latency_threshold_ms is not None:
+        config.set_value("latency_threshold_ms", args.latency_threshold_ms)
+    threshold = config.latency_threshold_ms
     if threshold is None:
         raise ConfigError(
             "a latency threshold is required: pass --latency-threshold-ms "

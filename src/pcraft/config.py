@@ -8,11 +8,18 @@ rejected by name so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .availability import ARA, CLOUD, ON_PREMISES, PF, AvailRates
-from .integrity import IntegrityRates, derive_integrity_rates
+from .integrity import (
+    CRASH_RECOVERY_SECONDS,
+    RETRY_SECONDS,
+    SDC_RECOVERY_SECONDS,
+    IntegrityRates,
+    derive_integrity_rates,
+)
 from .planner import PlanRequest, required_base_nodes
 from .units import HOUR, MONTH
 from .variants import NODE_VARIANTS, TransientSplit, throughput_ratio
@@ -35,7 +42,7 @@ class ScenarioConfig:
     target_nines: float = 3.0
     horizon_hours: float = 8766.0
     hw_crash_per_year: float = 1.0
-    crash_recovery_seconds: float = 15.0
+    crash_recovery_seconds: float = CRASH_RECOVERY_SECONDS
     pool_repair_per_hour: float | None = None
     transient_rate_per_month: float | None = None
     latency_threshold_ms: float | None = None
@@ -43,8 +50,8 @@ class ScenarioConfig:
     corrupt_pct: float | None = None
     crash_pct: float | None = None
     retry_pct: float | None = None
-    sdc_recovery_hours: float = 6.0
-    retry_tx_us: float = 2.5
+    sdc_recovery_hours: float = SDC_RECOVERY_SECONDS / HOUR
+    retry_tx_us: float = RETRY_SECONDS * 1e6
     retry_crash_per_hour: float = 0.0
     throughput_ratio: float | None = None
     extra_nodes: int = 0
@@ -139,6 +146,13 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 # Least value of each integer key: a simulation's confidence interval
 # needs two replications.
 _INT_MINIMUM = {"extra_nodes": 0, "search_cap": 0, "seed": 0, "replications": 2}
+# Every float key must be finite, and positive unless it has a range here.
+_POSITIVE = ("a positive finite number", lambda value: value > 0.0)
+_PERCENT = ("a percentage from 0 to 100", lambda value: 0.0 <= value <= 100.0)
+_FLOAT_RANGE = {
+    "corrupt_pct": _PERCENT, "crash_pct": _PERCENT, "retry_pct": _PERCENT,
+    "retry_crash_per_hour": ("a nonnegative finite number", lambda value: value >= 0.0),
+}
 
 
 def _parse_value(key: str, text: str):
@@ -167,10 +181,14 @@ def _parse_value(key: str, text: str):
                 f"{least}, got {text!r}")
         return value
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(
             f"configuration key {key!r}: expected a number, got {text!r}") from None
+    expected, in_range = _FLOAT_RANGE.get(key, _POSITIVE)
+    if not (math.isfinite(value) and in_range(value)):
+        raise ConfigError(f"configuration key {key!r}: expected {expected}, got {text!r}")
+    return value
 
 
 def parse_config(text: str) -> ScenarioConfig:

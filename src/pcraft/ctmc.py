@@ -8,8 +8,7 @@ package needs:
   Grassmann-Taksar-Heyman elimination (no subtractions, so no
   cancellation), guarded by a strong-connectivity check and a residual
   test.
-* ``transient_distribution``: state distribution at time ``t``.  The
-  uniformization jump rate is ``q = 1.02 * max |diagonal|``.
+* ``transient_distribution``: state distribution at time ``t``.
 * ``cumulative_occupancy`` and ``occupancy_from_each_start``: expected
   reward-weighted occupancy time over a finite horizon
   (availability-style rewards), from the initial distribution or from
@@ -17,15 +16,19 @@ package needs:
   distribution times the second.
 
 Each solve takes one of two routes, chosen by the state count alone.
-Rates in one model can span microseconds to years, so ``q*t`` can reach
-1e13; neither route's cost grows with it beyond a logarithm.
+With ``q = 1.02 * max |diagonal|``, ``q*t`` bounds the expected number
+of jumps over the horizon.  Rates in one model can span microseconds to
+years, so ``q*t`` can reach 1e13; neither route's cost grows with it
+beyond a logarithm.
 
 * Repeated squaring, for chains of at most ``_SQUARING_MAX_N`` states:
   a few dense n x n products.  It splits the horizon into ``2**m``
-  equal subintervals, each carrying at most ``_BASE_STEP_EVENTS``
-  expected jumps, builds the subinterval propagator ``M = exp(Q*dt)``
-  from a short series of sparse products, and chains subintervals by
-  squaring::
+  equal subintervals of at most ``_BASE_STEP_EVENTS`` expected jumps,
+  builds the subinterval propagator ``M = exp(Q*dt) = sum_k w_k P**k``
+  of the jump matrix ``P = I + Q/q`` from a short series of sparse
+  products, with ``w_k`` the Poisson(``q*dt``) pmf recurred from
+  ``w_0 = exp(-q*dt)`` and cut where its tail falls to 1e-15, and
+  chains subintervals by squaring::
 
       M(2t) = M(t) M(t)          c(2t) = c(t) + M(t) c(t)
 
@@ -59,7 +62,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Tuple
+from typing import Callable, Hashable, Iterable, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,12 +72,10 @@ from scipy.sparse.linalg import splu
 __all__ = [
     "Ctmc",
     "NotErgodicError",
-    "PoissonWindow",
     "build_ctmc",
     "cumulative_occupancy",
     "indicator_reward",
     "occupancy_from_each_start",
-    "poisson_weights",
     "steady_state",
     "transient_distribution",
 ]
@@ -85,7 +86,6 @@ Transition = Tuple[StateLabel, StateLabel, float]
 _UNIFORMIZATION_SLACK = 1.02
 _BASE_STEP_EVENTS = 8.0         # target q*dt for the squaring base step
 _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
-_PMF_GUARD = 1e-34              # stop the pmf recursion below this (mode-relative)
 _DENSE_BASE_MAX_N = 64          # up to here the base series uses a dense P
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _SQUARING_MAX_N = 128           # larger chains take the implicit route
@@ -111,14 +111,6 @@ _IMPLICIT_MAX_STEPS = 4096
 
 class NotErgodicError(ValueError):
     """Raised when a stationary distribution is requested for a reducible chain."""
-
-
-class PoissonWindow(NamedTuple):
-    """Truncated Poisson pmf: ``weights[i]`` approximates ``pmf(left + i)``."""
-
-    left: int
-    right: int
-    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,73 +211,6 @@ def build_ctmc(transitions: Iterable[Transition],
 def indicator_reward(ctmc: Ctmc, predicate: Callable[[StateLabel], bool]) -> np.ndarray:
     """0/1 reward vector selecting the states where ``predicate`` holds."""
     return np.array([1.0 if predicate(s) else 0.0 for s in ctmc.states])
-
-
-def poisson_weights(qt: float, tol: float = 1e-10) -> PoissonWindow:
-    """Truncated Poisson(qt) pmf covering all but ``tol`` of the mass.
-
-    The pmf is evaluated by recurring outward from the mode, whose value
-    is computed in log space, so the window stays well scaled for large
-    ``qt`` (1e6 and beyond; memory grows like ``sqrt(qt)``).
-
-    Parameters
-    ----------
-    qt : float
-        Nonnegative Poisson mean (jump rate times elapsed time).
-    tol : float
-        Upper bound on the pmf mass outside the returned window.
-
-    Returns
-    -------
-    PoissonWindow
-        ``(left, right, weights)`` with ``sum(weights) >= 1 - tol``.
-    """
-    if not math.isfinite(qt) or qt < 0.0:
-        raise ValueError(f"Poisson mean must be finite and nonnegative, got {qt!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
-    if qt == 0.0:
-        return PoissonWindow(0, 0, np.array([1.0]))
-
-    mode = int(qt)
-
-    below: list[float] = []   # mode-relative pmf at mode-1, mode-2, ...
-    s = 1.0
-    k = mode
-    while k > 0:
-        s *= k / qt
-        if s < _PMF_GUARD:
-            break
-        below.append(s)
-        k -= 1
-    above: list[float] = []   # mode-relative pmf at mode+1, mode+2, ...
-    s = 1.0
-    k = mode
-    while True:
-        s *= qt / (k + 1)
-        if s < _PMF_GUARD:
-            break
-        above.append(s)
-        k += 1
-
-    lo = mode - len(below)
-    scaled = np.concatenate([np.array(below[::-1]), [1.0], np.array(above)])
-    # The mass outside the recursion guard is below 1e-30, so normalizing
-    # the full window to one recovers the absolute scale more accurately
-    # than evaluating the mode pmf in log space (which loses ~1e-9 of
-    # relative precision once qt reaches 1e6).
-    weights = scaled / scaled.sum()
-
-    # Trim each tail to tol/2, keeping true (unnormalized) pmf values.
-    cut = 0.5 * tol
-    prefix = np.cumsum(weights)
-    drop_left = int(np.searchsorted(prefix, cut, side="right"))
-    suffix = np.cumsum(weights[::-1])
-    drop_right = int(np.searchsorted(suffix, cut, side="right"))
-    hi = lo + len(weights) - 1 - drop_right
-    lo = lo + drop_left
-    trimmed = weights[drop_left:len(weights) - drop_right]
-    return PoissonWindow(lo, hi, trimmed)
 
 
 def steady_state(ctmc: Ctmc, tol: float = 1e-12) -> np.ndarray:
@@ -430,8 +355,11 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     if q == 0.0:
         return r * horizon
     if _route(ctmc) == "squaring":
-        return _propagator(ctmc, q, horizon, r)
-    return _implicit_occupancy(ctmc, r, horizon, tol, q * horizon)
+        occupancy = _propagator(ctmc, q, horizon, r)
+    else:
+        occupancy = _implicit_occupancy(ctmc, r, horizon, tol, q * horizon)
+    # Either route can land an ulp outside the reward range.
+    return np.clip(occupancy, 0.0, r.max() * horizon)
 
 
 def _check_time_and_tol(t: float, tol: float, allow_zero: bool) -> None:
@@ -460,14 +388,24 @@ def _route(ctmc: Ctmc) -> str:
     return "squaring" if ctmc.n <= _SQUARING_MAX_N else "implicit"
 
 
-def _weights_and_tails(qt: float, tol: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """Poisson window plus tail probabilities P(N > k) for k = 0..right."""
-    window = poisson_weights(qt, tol)
-    w = window.weights
-    total = w.sum()
-    tails = total - np.concatenate([np.zeros(window.left), np.cumsum(w)])
-    np.maximum(tails, 0.0, out=tails)
-    return window.left, w, tails
+def _base_step_terms(qt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(qt) pmf ``w[k]`` and tails ``P(N > k)`` for ``k = 0..K``.
+
+    The pmf recurs from ``w[0] = exp(-qt)``, which stays normal because
+    squaring keeps ``qt <= _BASE_STEP_EVENTS``.  It runs past the mode
+    until a term falls below ``eps * _BASE_STEP_TOL``, so the reverse
+    cumulative sums of the terms are the tails to rounding, with no
+    ``1 - cumsum`` cancellation.  ``K`` is the first ``k`` whose tail is
+    at most ``_BASE_STEP_TOL``.
+    """
+    floor = _BASE_STEP_TOL * np.finfo(float).eps
+    terms = [math.exp(-qt)]
+    while len(terms) <= qt or terms[-1] > floor:
+        terms.append(terms[-1] * qt / len(terms))
+    w = np.array(terms)
+    tails = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)
+    last = int(np.argmax(tails <= _BASE_STEP_TOL))
+    return w[:last + 1], tails[:last + 1]
 
 
 def _uniformized(ctmc: Ctmc, q: float) -> sp.csr_matrix:
@@ -491,7 +429,7 @@ def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
     noise = ctmc.n * np.finfo(float).eps * top * t
     v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, 0.0, top - reward,
                noise)
-    return np.clip(top * t - v, 0.0, top * t)
+    return top * t - v
 
 
 def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
@@ -572,9 +510,7 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
     levels = _squaring_levels(q * t)
     dt = t / (1 << levels)
 
-    left, w, tails = _weights_and_tails(q * dt, _BASE_STEP_TOL)
-    if left != 0:  # q*dt <= _BASE_STEP_EVENTS keeps the window anchored at zero
-        raise AssertionError("base uniformization window lost its head")
+    w, tails = _base_step_terms(q * dt)
     right = len(w) - 1
     if n <= _DENSE_BASE_MAX_N:
         p_step = np.eye(n) + ctmc.generator.toarray() / q

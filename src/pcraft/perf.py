@@ -11,7 +11,6 @@ per-variant degradation ratios, averaged across applications.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,6 @@ __all__ = [
     "degradation_ratios",
     "parse_benchmark_csv",
     "saturation_throughput",
-    "write_benchmark_csv",
 ]
 
 REQUIRED_COLUMNS = ("offered_rate", "achieved_rate", "latency_ms")
@@ -91,29 +89,6 @@ def parse_benchmark_csv(source, application: str | None = None,
         raise ValueError("benchmark CSV has no data rows")
     rows.sort(key=lambda r: r.offered_rate)
     return PerfCurve(rows=tuple(rows), application=application, variant=variant)
-
-
-def write_benchmark_csv(curve: PerfCurve, dest=None) -> str:
-    """Serialize a curve back to CSV text (written to ``dest`` when given).
-
-    Floats are rendered with ``repr`` so a parse/write cycle is lossless.
-    """
-    has_cpu = any(row.cpu_pct is not None for row in curve.rows)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS + (OPTIONAL_COLUMNS if has_cpu else ()))
-    for row in curve.rows:
-        record = [repr(row.offered_rate), repr(row.achieved_rate), repr(row.latency_ms)]
-        if has_cpu:
-            record.append("" if row.cpu_pct is None else repr(row.cpu_pct))
-        writer.writerow(record)
-    text = buffer.getvalue()
-    if dest is not None:
-        if isinstance(dest, (str, Path)):
-            Path(dest).write_text(text)
-        else:
-            dest.write(text)
-    return text
 
 
 def saturation_throughput(curve: PerfCurve, latency_threshold_ms: float) -> float:

@@ -175,12 +175,6 @@ def _result(request: PlanRequest, base: int, extra: int, avail: float,
     )
 
 
-def _spec_for(request: PlanRequest, base: int, extra: int) -> ClusterSpec:
-    if request.technique == ARA:
-        return ClusterSpec(ARA, request.deployment, num=base, op=extra)
-    return ClusterSpec(PF, request.deployment, num=base, pool=extra)
-
-
 class _PerExtraEvaluator:
     """Builds and solves an independent chain for each queried extra count."""
 
@@ -193,9 +187,10 @@ class _PerExtraEvaluator:
     def __call__(self, extra: int) -> float:
         if extra not in self._cache:
             request = self._request
-            model = build_availability_model(
-                _spec_for(request, self._base, extra), request.rates,
-                request.parallel_recovery)
+            spec = ClusterSpec.with_extra(request.technique, request.deployment,
+                                          self._base, extra)
+            model = build_availability_model(spec, request.rates,
+                                             request.parallel_recovery)
             report = availability(model, request.horizon_s)
             self._cache[extra] = report.availability
             self.evaluations += 1
@@ -226,8 +221,8 @@ class _FamilyEvaluator:
     def _solve(self, cap: int) -> None:
         request = self._request
         base = self._base
-        model = build_availability_model(
-            _spec_for(request, base, cap), request.rates, request.parallel_recovery)
+        spec = ClusterSpec.with_extra(request.technique, request.deployment, base, cap)
+        model = build_availability_model(spec, request.rates, request.parallel_recovery)
         occupancy = occupancy_from_each_start(
             model.ctmc, model.up_reward, request.horizon_s)
         for extra in range(cap + 1):

@@ -60,6 +60,11 @@ class TestClusterSpec:
         with pytest.raises(ValueError, match="standby pool"):
             ClusterSpec(ARA, ON_PREMISES, num=1, pool=1)
 
+    def test_extra_is_op_for_ara_and_pool_for_pf(self):
+        assert ClusterSpec.with_extra(ARA, CLOUD, 10, 3) == ClusterSpec(ARA, CLOUD, num=10, op=3)
+        assert (ClusterSpec.with_extra(PF, ON_PREMISES, 10, 3)
+                == ClusterSpec(PF, ON_PREMISES, num=10, pool=3))
+
 
 class TestAvailRates:
     @pytest.mark.parametrize("crash", [0.0, -1.0, math.inf, math.nan])

@@ -93,6 +93,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,line", [
         ("plan", "search_cap = -1"), ("avail", "extra_nodes = -2"),
         ("simulate", "seed = -1"), ("simulate", "replications = 1"),
+        ("avail", "crash_recovery_seconds = 0"), ("avail", "horizon_hours = -5"),
+        ("plan", "target_nines = nan"),
     ])
     def test_out_of_range_config_value_is_a_configuration_error(
             self, tmp_path, capsys, command, line):
@@ -199,6 +201,22 @@ class TestPlan:
         row = rows_of(out)[1]
         assert row[2] == "x"
         assert float(row[3]) < 0.999
+
+    def test_availability_an_ulp_above_one_is_clipped(self, tmp_path, capsys):
+        # The family solve at this tiny horizon left one occupancy an ulp
+        # above the horizon, and the plan failed with availability > 1.
+        cfg = write_cfg(tmp_path, """
+            technique = ARA
+            deployment = on-premises
+            node_variant = native
+            sert_multiplier = 10
+            target_nines = 12.5
+            horizon_hours = 2e-05
+            hw_crash_per_year = 100
+        """)
+        code, out, err = run(["plan", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert 0.0 <= float(rows_of(out)[1][3]) <= 1.0
 
     def test_out_writes_identical_csv(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")
@@ -308,6 +326,14 @@ class TestIngest:
         code, _, err = run(["ingest", f"a:native:{curve}"], capsys)
         assert code == 2
         assert "latency_threshold_ms" in err
+
+    @pytest.mark.parametrize("text", ["0", "-1", "nan", "fast"])
+    def test_bad_threshold_flag_is_a_configuration_error(self, capsys, text):
+        curve = str(DATA / "apache_static_native.csv")
+        code, out, err = run(["ingest", f"a:native:{curve}",
+                              "--latency-threshold-ms", text], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("pcraft: configuration key 'latency_threshold_ms'")
 
     def test_bad_label(self, capsys):
         code, _, err = run(["ingest", "only-a-path.csv",

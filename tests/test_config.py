@@ -5,7 +5,7 @@ import math
 import pytest
 
 from pcraft.cli import main
-from pcraft.config import ConfigError, ScenarioConfig, load_config, parse_config
+from pcraft.config import _FIELD_TYPES, ConfigError, ScenarioConfig, load_config, parse_config
 from pcraft.planner import plan_capacity
 from pcraft.units import HOUR, MONTH, YEAR
 from pcraft.variants import NODE_VARIANTS
@@ -41,6 +41,9 @@ class TestParsing:
         assert cfg.sert_multiplier == 10.0
         assert cfg.horizon_hours == 8766.0
         assert cfg.pool_repair_per_hour is None
+        # Read from the integrity module's recovery constants.
+        assert (cfg.crash_recovery_seconds, cfg.sdc_recovery_hours, cfg.retry_tx_us) == (
+            15.0, 6.0, 2.5)
 
     def test_unknown_key_is_rejected_by_name(self):
         with pytest.raises(ConfigError, match=r"line 2: unknown configuration key 'targt_nines'"):
@@ -71,6 +74,20 @@ class TestParsing:
                            match=rf"'{key}'.*at least {least}, got '{text}'"):
             parse_config(f"{key} = {text}\n")
         assert getattr(parse_config(f"{key} = {least}\n"), key) == least
+
+    @pytest.mark.parametrize("key", [name for name, kind in _FIELD_TYPES.items()
+                                     if kind.startswith("float")])
+    def test_float_outside_its_range_names_the_key(self, key):
+        percent = key.endswith("_pct")
+        may_be_zero = percent or key == "retry_crash_per_hour"
+        bad = (["nan", "inf", "-inf", "-5"] + (["100.5"] if percent else [])
+               + ([] if may_be_zero else ["0"]))
+        for text in bad:
+            with pytest.raises(ConfigError, match=rf"^configuration key '{key}': "
+                                                  rf"expected .*, got '{text}'$"):
+                parse_config(f"{key} = {text}\n")
+        for text in ("0" if may_be_zero else "1e-9", "100" if percent else "1e300"):
+            assert getattr(parse_config(f"{key} = {text}\n"), key) == float(text)
 
     def test_bad_bool_names_the_key(self):
         with pytest.raises(ConfigError, match=r"'parallel_recovery'.*expected a boolean"):

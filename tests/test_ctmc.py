@@ -12,25 +12,28 @@ import scipy.linalg
 import scipy.sparse
 import scipy.stats
 
-from pcraft.availability import AvailRates, ClusterSpec, build_availability_model
+from pcraft.availability import AvailRates, ClusterSpec, availability, build_availability_model
 from pcraft.integrity import build_integrity_model, derive_integrity_rates
 import pcraft.ctmc as ctmc_module
 from pcraft.ctmc import (
+    _BASE_STEP_EVENTS,
+    _BASE_STEP_TOL,
     _RADAU_COMPLEX_POLE,
     _RADAU_COMPLEX_RESIDUE,
     _RADAU_REAL_POLE,
     _RADAU_REAL_RESIDUE,
     Ctmc,
     NotErgodicError,
+    _base_step_terms,
     _implicit_occupancy,
     _propagator,
     _radau,
     _route,
+    _squaring_levels,
     build_ctmc,
     cumulative_occupancy,
     indicator_reward,
     occupancy_from_each_start,
-    poisson_weights,
     steady_state,
     transient_distribution,
 )
@@ -144,41 +147,33 @@ class TestSteadyState:
             assert residual <= 1e-12 * chain.exit_rates.max()
 
 
-class TestPoissonWeights:
-    def test_zero_mean(self):
-        window = poisson_weights(0.0, 1e-10)
-        assert window.left == 0 and window.right == 0
-        assert window.weights[0] == 1.0
+class TestBaseStepTerms:
+    @pytest.mark.parametrize("qt", [1e-12, 1e-3, 0.5, 4.0, 8.0])
+    def test_matches_the_poisson_pmf_and_tails(self, qt):
+        w, tails = _base_step_terms(qt)
+        ks = np.arange(len(w))
+        np.testing.assert_allclose(w, scipy.stats.poisson.pmf(ks, qt), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(tails, scipy.stats.poisson.sf(ks, qt), rtol=1e-12, atol=0)
+        assert tails[-1] <= _BASE_STEP_TOL < tails[-2]
 
-    def test_matches_pmf_small_mean(self):
-        window = poisson_weights(2.0, 1e-12)
-        ks = np.arange(window.left, window.right + 1)
-        expected = scipy.stats.poisson.pmf(ks, 2.0)
-        assert np.all(np.abs(window.weights - expected) <= 1e-12)
+    def test_squaring_keeps_the_base_step_small(self):
+        # The recurrence from exp(-qt) needs qt <= _BASE_STEP_EVENTS.
+        for qt in np.geomspace(1e-9, 1e13, 200):
+            dt_events = qt / 2.0 ** _squaring_levels(qt)
+            assert dt_events <= _BASE_STEP_EVENTS
 
-    @pytest.mark.parametrize("qt", [0.5, 50.0, 1e3, 1e6])
-    def test_mass_within_tol(self, qt):
-        for tol in (1e-6, 1e-10):
-            window = poisson_weights(qt, tol)
-            total = window.weights.sum()
-            assert 1.0 - tol <= total <= 1.0 + 1e-12
-
-    def test_window_width_monotone_in_tol(self):
-        loose = poisson_weights(300.0, 1e-4)
-        tight = poisson_weights(300.0, 1e-12)
-        assert len(loose.weights) <= len(tight.weights)
-        assert tight.left <= loose.left <= loose.right <= tight.right
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_weights(-1.0)
-
-    def test_large_mean_matches_pmf_spot_checks(self):
-        qt = 1e6
-        window = poisson_weights(qt, 1e-10)
-        for k in (int(qt) - 1000, int(qt), int(qt) + 1000):
-            w = window.weights[k - window.left]
-            assert w == pytest.approx(scipy.stats.poisson.pmf(k, qt), rel=1e-9)
+    @pytest.mark.parametrize("technique", ["PF", "ARA"])
+    def test_single_on_premises_node_matches_the_closed_form(self, technique):
+        # Without a spare the node dies at rate lam and stays down:
+        # availability (1 - exp(-lam T)) / (lam T).
+        for per_year in range(1, 13):
+            model = build_availability_model(
+                ClusterSpec(technique, "on-premises", num=1), AvailRates(per_year, 1 / 15))
+            for hours in (1, 24, 720, 8766):
+                x = per_year / YEAR * hours * HOUR
+                exact = -math.expm1(-x) / x
+                got = availability(model, hours * HOUR).availability
+                assert abs(got - exact) <= 1e-15, (per_year, hours)
 
 
 class TestTransient:

@@ -6,13 +6,11 @@ from pathlib import Path
 import pytest
 
 from pcraft import (
-    PerfCurve,
     PerfRow,
     degradation_ratios,
     parse_benchmark_csv,
     saturation_throughput,
 )
-from pcraft.perf import write_benchmark_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,31 +73,6 @@ class TestParsing:
                 "100,100\n")
         with pytest.raises(ValueError, match="row 2.*latency_ms"):
             parse_benchmark_csv(io.StringIO(text))
-
-
-class TestRoundTrip:
-    def test_parse_write_parse_is_lossless(self):
-        original = parse_benchmark_csv(APACHE_FILES["native"])
-        text = write_benchmark_csv(original)
-        again = parse_benchmark_csv(io.StringIO(text))
-        assert again.rows == original.rows
-
-    def test_round_trip_without_cpu(self):
-        original = parse_benchmark_csv(MEMCACHED_FILES["native"])
-        again = parse_benchmark_csv(io.StringIO(write_benchmark_csv(original)))
-        assert again.rows == original.rows
-        assert "cpu_pct" not in write_benchmark_csv(original).splitlines()[0]
-
-    def test_write_to_path(self, tmp_path):
-        original = parse_benchmark_csv(APACHE_FILES["native"])
-        out = tmp_path / "copy.csv"
-        write_benchmark_csv(original, out)
-        assert parse_benchmark_csv(out).rows == original.rows
-
-    def test_fractional_values_survive(self):
-        curve = PerfCurve(rows=(PerfRow(0.1, 0.30000000000000004, 1e-3, None),))
-        again = parse_benchmark_csv(io.StringIO(write_benchmark_csv(curve)))
-        assert again.rows == curve.rows
 
 
 class TestSaturation:

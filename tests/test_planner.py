@@ -1,5 +1,6 @@
 """Capacity planning: base sizing, extras search, and shortcuts."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from pcraft import (
     plan_capacity,
     required_base_nodes,
 )
+from pcraft.planner import _FamilyEvaluator
 from pcraft.units import YEAR
 
 # Quadrature of P(Binomial(11, p(t)) >= 10) at 12 crashes/year, 30-minute
@@ -149,6 +151,23 @@ class TestOnPremFamilies:
         without = plan_capacity(request(**base))
         with_repair = plan_capacity(request(repair_per_s=1.0 / 3600.0, **base))
         assert with_repair.extra <= without.extra
+
+    @pytest.mark.parametrize("technique", [PF, ARA])
+    def test_family_availabilities_stay_within_zero_and_one(self, technique):
+        # Squaring can leave an occupancy an ulp above the elapsed time;
+        # an availability above 1 made nines() fail the plan.
+        outside = []
+        for horizon_s, crashes, recovery_s, sert in itertools.product(
+                (1e-3, 0.1, 1.0, 10.0, 3600.0, 86400.0), (0.01, 1.0, 6.0, 100.0, 1000.0),
+                (1.0, 15.0, 1800.0), (1.0, 2.0, 10.0, 40.0)):
+            req = replace(request(technique=technique, deployment=ON_PREMISES, sert=sert,
+                                  crashes=crashes, recovery_s=recovery_s, search_cap=8),
+                          horizon_s=horizon_s)
+            evaluator = _FamilyEvaluator(req, required_base_nodes(sert, req.effective_ratio))
+            outside += [(horizon_s, crashes, recovery_s, sert, extra, avail)
+                        for extra in range(8, -1, -1)
+                        if not 0.0 <= (avail := evaluator(extra)) <= 1.0]
+        assert not outside
 
 
 class TestReferenceTablesAtTwoCrashesPerYear:
