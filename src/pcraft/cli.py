@@ -57,7 +57,15 @@ def main(argv=None) -> int:
         print(f"pcraft: {err}", file=sys.stderr)
         return 1
 
-    _write_csv(header, rows, args.out)
+    if not args.out:
+        _write_csv(header, rows, sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w", newline="") as handle:
+            _write_csv(header, rows, handle)
+    except OSError as err:
+        print(f"pcraft: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -109,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(header, rows, out: str | None) -> None:
+def _write_csv(header, rows, handle) -> None:
     def render(value):
         if value is None:
             return ""
@@ -119,18 +127,10 @@ def _write_csv(header, rows, out: str | None) -> None:
             return repr(value)
         return str(value)
 
-    if out:
-        handle = open(out, "w", newline="")
-    else:
-        handle = sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([render(v) for v in row])
-    finally:
-        if out:
-            handle.close()
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([render(v) for v in row])
 
 
 def _variants_for(config: ScenarioConfig) -> list[str]:

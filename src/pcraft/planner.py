@@ -9,8 +9,8 @@ active redundancy) are added until the interval availability over the
 planning horizon reaches the target number of nines.
 
 Availability is monotone in the number of extras, so the search is an
-exponential probe followed by bisection.  Two structural shortcuts keep
-large searches cheap without changing any answer:
+exponential probe followed by bisection.  Three shortcuts keep large
+searches cheap without changing any answer:
 
 * On-premises chains without pool repair never revisit higher pool
   levels, so the chain built for the largest pool contains every
@@ -20,6 +20,20 @@ large searches cheap without changing any answer:
 * A finite standby pool can never beat the unbounded (cloud) pool, so
   when the unbounded-pool availability already misses the target the
   on-premises search is declared infeasible without climbing to the cap.
+* A cheap lower bound on the availability gives the family's first cap,
+  so the family is solved once instead of at every doubling cap.  For
+  PF without pool repair, the pooled chain moves like the unbounded one
+  until the ``pool + 1``-th crash and is down for good after it; crashes
+  come at most at ``base * lambda``, so with ``N ~ Poisson(base * lambda
+  * T)`` the unavailability is at most the unbounded pool's plus
+  ``E[(N - pool - 1)^+] / E[N]``.  For on-premises ARA, a node's
+  survival ``exp(-lambda t)`` only falls, so the availability is at
+  least ``P(Binomial(base + op, exp(-lambda T)) >= base)``.  The first
+  cap is the smallest extra count whose bound meets the target (at most
+  the search cap).  The family solve is exact for every smaller count,
+  so any cap at or above the answer gives the answer, and a cap that
+  undershoots (rounding, or a tail sum cut short) only lets the doubling
+  go on as before.  The bound changes the cost, never an answer.
 """
 
 from __future__ import annotations
@@ -50,6 +64,10 @@ __all__ = [
 
 # Guards against float quotients landing epsilon above an exact integer.
 _CEIL_GUARD = 1e-9
+# The first-cap bounds' tail sums: relative size of a remainder that no
+# longer counts, and a term budget so no sum grows with the crash count.
+_BOUND_TOL = 2.0 ** -60
+_BOUND_TERMS = 4096
 
 
 def required_base_nodes(sert_multiplier: float, ratio: float) -> int:
@@ -105,7 +123,11 @@ class PlanResult:
     (ARA).  When no extra count within the search cap reaches the
     target, ``feasible`` is False, ``extra`` reports the cap, and
     ``availability`` the best availability bound established.
-    ``evaluations`` counts chain solves.
+    ``evaluations`` counts chain solves: the unbounded-pool ceiling for
+    on-premises PF, then one per extra count probed, or, for on-premises
+    families, one per family cap solved (one when the bound-derived
+    first cap reaches the answer, as it does unless rounding undercuts
+    it).
     """
 
     technique: str
@@ -148,14 +170,17 @@ def plan_capacity(request: PlanRequest, strategy: str = "auto") -> PlanResult:
         return _result(request, base, extra, avail, feasible, evaluator.evaluations)
 
     evaluations = 0
+    ceiling = 1.0
     if request.technique == PF and request.deployment == ON_PREMISES:
         ceiling = _unbounded_pool_availability(request, base)
         evaluations += 1
         if ceiling < target:
             return _result(request, base, request.search_cap, ceiling, False, evaluations)
 
-    evaluator = _make_evaluator(request, base)
-    extra, avail, feasible = _doubling_search(evaluator, target, request.search_cap)
+    first = _first_family_cap(request, base, ceiling)
+    evaluator = _make_evaluator(request, base, first)
+    extra, avail, feasible = _doubling_search(evaluator, target, request.search_cap,
+                                              first)
     return _result(request, base, extra, avail, feasible,
                    evaluator.evaluations + evaluations)
 
@@ -203,19 +228,21 @@ class _FamilyEvaluator:
     Valid only for on-premises chains without pool repair: their state
     lattices nest, so the availability for ``extra = e`` is the
     normalized accumulated up-time of the largest chain started from the
-    fully-up state with ``e`` spares.
+    fully-up state with ``e`` spares.  The first solve covers at least
+    ``first_cap``.
     """
 
-    def __init__(self, request: PlanRequest, base: int) -> None:
+    def __init__(self, request: PlanRequest, base: int, first_cap: int = 0) -> None:
         self._request = request
         self._base = base
+        self._first_cap = first_cap
         self._solved_cap = -1
         self._cache: dict[int, float] = {}
         self.evaluations = 0
 
     def __call__(self, extra: int) -> float:
         if extra > self._solved_cap:
-            self._solve(extra)
+            self._solve(max(extra, self._first_cap))
         return self._cache[extra]
 
     def _solve(self, cap: int) -> None:
@@ -233,13 +260,92 @@ class _FamilyEvaluator:
         self.evaluations += 1
 
 
-def _make_evaluator(request: PlanRequest, base: int):
-    if request.deployment == ON_PREMISES:
-        if request.technique == ARA:
-            return _FamilyEvaluator(request, base)
-        if request.rates.pool_repair_per_s is None:
-            return _FamilyEvaluator(request, base)
+def _has_family(request: PlanRequest) -> bool:
+    """On-premises chains whose lattices nest: ARA, and PF without pool repair."""
+    return request.deployment == ON_PREMISES and (
+        request.technique == ARA or request.rates.pool_repair_per_s is None)
+
+
+def _make_evaluator(request: PlanRequest, base: int, first_cap: int):
+    if _has_family(request):
+        return _FamilyEvaluator(request, base, first_cap)
     return _PerExtraEvaluator(request, base)
+
+
+def _first_family_cap(request: PlanRequest, base: int, ceiling: float) -> int:
+    """Smallest extra count whose availability lower bound meets the target.
+
+    Capped at ``request.search_cap``; 0 where no bound applies (no
+    family, or crash counts too small or too large for the tail sums'
+    logarithms), which leaves the doubling search as it was.  PF reads
+    the unbounded-pool availability ``ceiling``.
+    """
+    lam_t = request.rates.hw_crash_per_s * request.horizon_s
+    if not _has_family(request) or not 0.0 < base * lam_t < math.inf:
+        return 0
+    if request.technique == ARA:
+        log_dead, log_alive = math.log(-math.expm1(-lam_t)), -lam_t
+
+        def bound(op: int) -> float:
+            # Fewer than base of base + op nodes alive at T: op + 1 or more dead.
+            return 1.0 - _binomial_tail(base + op, op + 1, log_dead, log_alive)
+    else:
+        mean = base * lam_t
+
+        def bound(pool: int) -> float:
+            return ceiling - _poisson_excess(mean, pool + 1) / mean
+
+    return _doubling_search(bound, request.target_availability, request.search_cap)[0]
+
+
+def _poisson_excess(mean: float, k: int) -> float:
+    """``E[(N - k)^+]`` for ``N ~ Poisson(mean)`` and ``k >= 1``.
+
+    At or above the mean it sums ``(i - k) P(N = i)`` upward from
+    ``i = k + 1``; below it, ``mean - k`` plus ``(k - i) P(N = i)``
+    downward from ``i = k - 1``.  Either way the pmf falls geometrically
+    away from ``k``, so the sum stops once a geometric bound on the
+    remainder is below ``_BOUND_TOL`` of the total, or after
+    ``_BOUND_TERMS`` terms.  A sum cut short is too small, which can
+    only lower the first cap.
+    """
+    up = k >= mean
+    total = 0.0 if up else mean - k
+    i = k + 1 if up else k - 1
+    log_term = -mean + i * math.log(mean) - math.lgamma(i + 1)   # log P(N = i)
+    for weight in range(1, _BOUND_TERMS + 1):
+        term = math.exp(log_term)
+        total += weight * term
+        ratio = mean / (i + 1) if up else i / mean   # P(N = next i) / P(N = i), < 1
+        if ratio == 0.0 or (term * ratio * (weight + 1.0 / (1.0 - ratio))
+                            <= _BOUND_TOL * total * (1.0 - ratio)):
+            break
+        log_term += math.log(ratio)
+        i += 1 if up else -1
+    return total
+
+
+def _binomial_tail(n: int, a: int, log_p: float, log_1mp: float) -> float:
+    """``P(X >= a)`` for ``X ~ Binomial(n, p)`` and ``1 <= a <= n``, given
+    ``log(p)`` and ``log(1 - p)``.
+
+    Sums upward from ``a``; once the terms fall, a geometric bound on
+    the remainder below ``_BOUND_TOL`` of the total ends the sum, as do
+    ``_BOUND_TERMS`` terms.
+    """
+    log_term = (math.lgamma(n + 1) - math.lgamma(a + 1) - math.lgamma(n - a + 1)
+                + a * log_p + (n - a) * log_1mp)
+    total = 0.0
+    for x in range(a, min(n, a + _BOUND_TERMS - 1) + 1):
+        term = math.exp(log_term)
+        total += term
+        log_ratio = math.log((n - x) / (x + 1)) + log_p - log_1mp if x < n else -math.inf
+        if log_ratio < 0.0:
+            ratio = math.exp(log_ratio)
+            if term * ratio <= _BOUND_TOL * total * (1.0 - ratio):
+                break
+        log_term += log_ratio
+    return total
 
 
 def _unbounded_pool_availability(request: PlanRequest, base: int) -> float:
@@ -248,13 +354,15 @@ def _unbounded_pool_availability(request: PlanRequest, base: int) -> float:
     return availability(model, request.horizon_s).availability
 
 
-def _doubling_search(evaluator, target: float, cap: int) -> tuple[int, float, bool]:
+def _doubling_search(evaluator, target: float, cap: int,
+                     first: int = 1) -> tuple[int, float, bool]:
+    """Probe 0, then ``first`` (at least 1), doubling to ``cap``; bisect the last gap."""
     avail = evaluator(0)
     if avail >= target:
         return 0, avail, True
     if cap == 0:
         return 0, avail, False
-    lo, hi = 0, 1
+    lo, hi = 0, min(max(first, 1), cap)
     while evaluator(hi) < target:
         if hi >= cap:
             return cap, evaluator(cap), False

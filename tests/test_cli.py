@@ -227,6 +227,16 @@ class TestPlan:
         assert piped == ""
         assert dest.read_text() == out
 
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, where):
+        cfg = write_cfg(tmp_path, "technique = ARA\ndeployment = cloud\n")
+        dest = str(tmp_path / where)
+        code, out, err = run(["avail", "--config", cfg, "--out", dest], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("pcraft: cannot write ") and dest in err
+        assert "Traceback" not in err
+
 
 class TestAvail:
     def test_reports_each_variant(self, tmp_path, capsys):

@@ -102,6 +102,17 @@ def test_no_orphaned_private_names():
     assert not orphans, f"names nothing in the package uses: {', '.join(orphans)}"
 
 
+def test_planner_imports_no_scipy():
+    # Its first-cap bounds need math alone; scipy.stats would add to the
+    # start-up of every command that plans.
+    tree = parse(PACKAGE / "planner.py")
+    outside = {alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    outside |= {node.module.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert outside <= {"__future__", "dataclasses", "math", "numpy"}
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"__init__", "cli", "config", "planner",
                                          "suites", "variants"}

@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+import pcraft.planner
+import pcraft.suites
 from pcraft import (
     ARA,
     CLOUD,
@@ -17,8 +21,14 @@ from pcraft import (
     plan_capacity,
     required_base_nodes,
 )
-from pcraft.planner import _FamilyEvaluator
-from pcraft.units import YEAR
+from pcraft.config import ScenarioConfig
+from pcraft.planner import (
+    _FamilyEvaluator,
+    _first_family_cap,
+    _unbounded_pool_availability,
+)
+from pcraft.suites import run_suite
+from pcraft.units import HOUR, YEAR
 
 # Quadrature of P(Binomial(11, p(t)) >= 10) at 12 crashes/year, 30-minute
 # recovery: the availability the planner must report for its one extra.
@@ -168,6 +178,97 @@ class TestOnPremFamilies:
                         for extra in range(8, -1, -1)
                         if not 0.0 <= (avail := evaluator(extra)) <= 1.0]
         assert not outside
+
+
+class TestFirstFamilyCap:
+    """The bound-derived first cap: never below the answer, cheap to find,
+    and never more than a cost when it undershoots."""
+
+    # crashes/yr x recovery (s) x horizon (h) x load x target nines
+    GRID = list(itertools.product((1.0, 6.0, 20.0), (15.0, 1800.0), (720.0, 8766.0),
+                                  (1.0, 3.0), (2.0, 4.0)))
+
+    @pytest.mark.parametrize("technique", [PF, ARA])
+    def test_bound_is_at_least_the_linear_answer(self, technique):
+        below, checked, overshoot = [], 0, 0
+        for crashes, recovery_s, hours, sert, target in self.GRID:
+            if technique == ARA and recovery_s != 15.0:
+                continue    # on-premises ARA never recovers a node
+            req = replace(request(technique=technique, deployment=ON_PREMISES, sert=sert,
+                                  target=target, crashes=crashes, recovery_s=recovery_s,
+                                  search_cap=32),
+                          horizon_s=hours * HOUR)
+            base = required_base_nodes(sert, req.effective_ratio)
+            ceiling = _unbounded_pool_availability(req, base) if technique == PF else 1.0
+            if ceiling < req.target_availability:
+                continue    # infeasible before any bound is drawn
+            linear = plan_capacity(req, strategy="linear")
+            if not linear.feasible:
+                continue
+            checked += 1
+            first = _first_family_cap(req, base, ceiling)
+            if first < linear.extra:
+                below.append((crashes, recovery_s, hours, sert, target, first, linear.extra))
+            overshoot = max(overshoot, first - linear.extra)
+        assert checked >= 15
+        assert not below
+        if technique == PF:
+            # Tight on this grid: a looser bound would cost a bigger chain.
+            assert overshoot == 0
+
+    @pytest.mark.parametrize("technique,sert,crashes", [(PF, 3.0, 2.0), (ARA, 10.0, 1.0)])
+    @pytest.mark.parametrize("short_by", ["all", "one"])
+    def test_first_cap_below_the_answer_changes_no_answer(self, monkeypatch, technique,
+                                                         sert, crashes, short_by):
+        req = request(technique=technique, deployment=ON_PREMISES, sert=sert,
+                      crashes=crashes, recovery_s=60.0, search_cap=64)
+        linear = plan_capacity(req, strategy="linear")
+        assert linear.feasible and linear.extra > 1
+        once = plan_capacity(req)
+        first = 0 if short_by == "all" else linear.extra - 1
+        monkeypatch.setattr(pcraft.planner, "_first_family_cap", lambda *args: first)
+        result = plan_capacity(req)
+        assert (result.extra, result.feasible) == (linear.extra, True)
+        assert result.availability == pytest.approx(linear.availability, rel=1e-12)
+        assert result.evaluations > once.evaluations    # the doubling went on
+
+    @pytest.mark.parametrize("suite", ["onprem-pf-pool", "onprem-ara-extras"])
+    def test_suite_family_plans_solve_once(self, monkeypatch, suite):
+        plans = []
+
+        def recording(req, strategy="auto"):
+            result = plan_capacity(req, strategy)
+            plans.append((req, result))
+            return result
+
+        monkeypatch.setattr(pcraft.suites, "plan_capacity", recording)
+        # The benchmark's on-premises scenario: 2700 h, pools up to 64.
+        run_suite(suite, ScenarioConfig(horizon_hours=2700.0, search_cap=64))
+        family = [(req.technique, result.evaluations) for req, result in plans
+                  if result.feasible and req.rates.pool_repair_per_s is None]
+        assert len(family) >= 3
+        # PF: the unbounded-pool ceiling, then the family; ARA: the family.
+        assert family == [(t, 2 if t == PF else 1) for t, _ in family]
+
+    @pytest.mark.parametrize("technique", [PF, ARA])
+    @pytest.mark.parametrize("cap", [1000, 10**9])
+    def test_cost_does_not_grow_with_crashes_or_cap(self, technique, cap):
+        # About 1e9 crashes expected over the horizon: a sum or array sized
+        # by the crash count or by the cap would show in time or memory.
+        req = replace(request(technique=technique, deployment=ON_PREMISES,
+                              crashes=1e6, search_cap=cap),
+                      horizon_s=1e6 * HOUR)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            first = _first_family_cap(req, 10, 1.0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == cap
+        assert peak < 64 * 1024
+        assert elapsed < 0.5
 
 
 class TestReferenceTablesAtTwoCrashesPerYear:
