@@ -1,8 +1,8 @@
 """Continuous-time Markov chain engine.
 
-A chain is a sparse rate generator over hashable state labels plus an
-initial distribution.  Three solvers cover the analyses the rest of the
-package needs:
+A chain is a set of hashable state labels, its off-diagonal rates as
+numpy triplets, and an initial distribution.  Three solvers cover the
+analyses the rest of the package needs:
 
 * ``steady_state``: stationary distribution of an ergodic chain via
   Grassmann-Taksar-Heyman elimination (no subtractions, so no
@@ -25,7 +25,7 @@ beyond a logarithm.
   a few dense n x n products.  It splits the horizon into ``2**m``
   equal subintervals of at most ``_BASE_STEP_EVENTS`` expected jumps,
   builds the subinterval propagator ``M = exp(Q*dt) = sum_k w_k P**k``
-  of the jump matrix ``P = I + Q/q`` from a short series of sparse
+  of the dense jump matrix ``P = I + Q/q`` from a short series of
   products, with ``w_k`` the Poisson(``q*dt``) pmf recurred from
   ``w_0 = exp(-q*dt)`` and cut where its tail falls to 1e-15, and
   chains subintervals by squaring::
@@ -46,7 +46,8 @@ beyond a logarithm.
   step count is doubled, or sized from the error estimate, until runs
   of N and 2N steps agree within ``tol``.  Occupancy is integrated as
   the complement ``max(r) - r`` of the reward, so that the estimate is
-  relative to the small downtime-style quantity.
+  relative to the small downtime-style quantity, down to the rounding
+  floor of the LU solves.
 
 The implicit route's floor of 48 steps and four factorizations costs
 more than the n**3 products of squaring on small chains, and less once
@@ -55,19 +56,23 @@ n**3 grows.  One round of the on-premises PF pool and ARA extras sweeps
 took 2.09, 1.92, 1.81, 1.90, 1.90 and 2.01 s with the switch at 64, 96,
 128, 160, 256 and 300 states (median of 5, one OpenBLAS thread, 2-core
 x86_64), so squaring keeps chains of up to 128 states.
+
+Building a chain and the squaring route use numpy alone.  ``scipy`` is
+imported on first use by the three things that need it: the implicit
+route's sparse LU factors, ``steady_state``'s connectivity check and
+the ``Ctmc.generator`` CSR view.  Importing it costs more than most
+commands spend solving their small chains.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "Ctmc",
@@ -86,7 +91,6 @@ Transition = Tuple[StateLabel, StateLabel, float]
 _UNIFORMIZATION_SLACK = 1.02
 _BASE_STEP_EVENTS = 8.0         # target q*dt for the squaring base step
 _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
-_DENSE_BASE_MAX_N = 64          # up to here the base series uses a dense P
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _SQUARING_MAX_N = 128           # larger chains take the implicit route
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
@@ -115,24 +119,54 @@ class NotErgodicError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Ctmc:
-    """Immutable CTMC: labelled states, sparse generator, initial distribution.
+    """Immutable CTMC: labelled states, off-diagonal rates, initial distribution.
 
     Attributes
     ----------
     states : tuple
         State labels; all arrays in this module are aligned with this order.
-    generator : scipy.sparse.csr_matrix
-        Rate matrix with nonnegative off-diagonal entries and rows summing
-        to zero (diagonal holds the negated exit rates).
+    rows, cols, rates : numpy.ndarray
+        The off-diagonal rates ``Q[rows[k], cols[k]] = rates[k]``, each
+        positive and finite between two distinct states.  The constructor
+        sorts them by ``(row, col)`` and sums duplicate pairs.
     initial : numpy.ndarray
         Probability distribution over ``states`` at time zero.
+    exit_rates : numpy.ndarray
+        Total rate out of each state, the negated diagonal of ``Q``;
+        derived by the constructor.
     """
 
     states: tuple
-    generator: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    rates: np.ndarray
     initial: np.ndarray
+    exit_rates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n = len(self.states)
+        rows = np.asarray(self.rows, dtype=np.intp).ravel()
+        cols = np.asarray(self.cols, dtype=np.intp).ravel()
+        rates = np.asarray(self.rates, dtype=float).ravel()
+        if not rows.size == cols.size == rates.size:
+            raise ValueError("rows, cols and rates must have one entry per rate")
+        if rates.size and not (
+                np.all((rates > 0.0) & (rates < np.inf)) and rows.min() >= 0
+                and cols.min() >= 0 and max(rows.max(), cols.max()) < n
+                and np.all(rows != cols)):
+            raise ValueError(f"rates must be positive and finite, between two "
+                             f"distinct states of 0..{n - 1}")
+        order = np.lexsort((cols, rows))
+        rows, cols, rates = rows[order], cols[order], rates[order]
+        first = np.ones(rates.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            rows, cols, rates = rows[starts], cols[starts], np.add.reduceat(rates, starts)
+        for name, value in (("rows", rows), ("cols", cols), ("rates", rates),
+                            ("exit_rates", np.bincount(rows, rates, minlength=n))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
 
     @property
@@ -145,9 +179,20 @@ class Ctmc:
         except KeyError:
             raise ValueError(f"unknown state {state!r}") from None
 
-    @property
-    def exit_rates(self) -> np.ndarray:
-        return -self.generator.diagonal()
+    @cached_property
+    def generator(self):
+        """The rate matrix as a ``scipy.sparse.csr_matrix``, built on first access.
+
+        Rows sum to zero; the diagonal holds the negated exit rates and
+        is stored only where a state has one.
+        """
+        import scipy.sparse as sp
+
+        leaving = np.flatnonzero(self.exit_rates)
+        return sp.csr_matrix(
+            (np.concatenate([self.rates, -self.exit_rates[leaving]]),
+             (np.concatenate([self.rows, leaving]), np.concatenate([self.cols, leaving]))),
+            shape=(self.n, self.n))
 
 
 def build_ctmc(transitions: Iterable[Transition],
@@ -200,12 +245,9 @@ def build_ctmc(transitions: Iterable[Transition],
         cols.append(index[dst])
         vals.append(r)
 
-    n = len(states)
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    exit_rates = np.asarray(off.sum(axis=1)).ravel()
-    gen = (off - sp.diags(exit_rates, format="csr")).tocsr()
     probs.setflags(write=False)
-    return Ctmc(states=states, generator=gen, initial=probs)
+    return Ctmc(states, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                np.array(vals), probs)
 
 
 def indicator_reward(ctmc: Ctmc, predicate: Callable[[StateLabel], bool]) -> np.ndarray:
@@ -239,17 +281,17 @@ def steady_state(ctmc: Ctmc, tol: float = 1e-12) -> np.ndarray:
     if n == 1:
         return np.array([1.0])
 
-    positive = ctmc.generator.copy()
-    positive.setdiag(0.0)
-    positive.eliminate_zeros()
-    ncomp, _ = connected_components(positive, directed=True, connection="strong")
+    from scipy.sparse.csgraph import connected_components
+
+    # The diagonal adds only self loops, which leave the components alone.
+    ncomp, _ = connected_components(ctmc.generator, directed=True, connection="strong")
     if ncomp != 1:
         raise NotErgodicError(
             "chain is not ergodic (state graph is reducible); the stationary "
             "distribution is undefined, use transient analysis instead")
 
     # GTH elimination on the dense generator: uses off-diagonal rates only.
-    a = ctmc.generator.toarray()
+    a = _dense_generator(ctmc)
     for k in range(n - 1):
         scale = np.sum(a[k, k + 1:n])
         if scale <= 0.0:
@@ -293,6 +335,7 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
+    _check_dense_fits(ctmc.n)
     if _route(ctmc) == "squaring":
         pi = ctmc.initial @ _propagator(ctmc, q, t)
     else:
@@ -318,8 +361,10 @@ def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     tol : float
         Bound on the implicit route's estimated error of each start's
         complement ``max(reward) * horizon - occupancy`` relative to that
-        complement; a complement within rounding of zero counts as met.
-        The squaring route ignores it: each of its base steps drops a
+        complement.  The solve's rounding floor ``n * eps * max(reward) *
+        horizon`` caps what it can meet: a complement below that floor
+        over ``tol`` is met to the floor, an absolute error.  The
+        squaring route ignores ``tol``: each of its base steps drops a
         fixed 1e-15 of Poisson mass.
 
     Returns
@@ -340,7 +385,8 @@ def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     pools of different depths, over-provisioning levels) read their whole
     sweep off this vector.  ``tol`` bounds the implicit route's estimated
     error of each start's complement ``max(reward) * horizon - occupancy``
-    relative to that complement, as in :func:`cumulative_occupancy`; the
+    relative to that complement, down to the absolute floor ``n * eps *
+    max(reward) * horizon``, as in :func:`cumulative_occupancy`; the
     squaring route drops a fixed 1e-15 of Poisson mass per base step.
     """
     return _occupancy(ctmc, reward, horizon, tol)
@@ -354,6 +400,7 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if q == 0.0:
         return r * horizon
+    _check_dense_fits(ctmc.n)
     if _route(ctmc) == "squaring":
         occupancy = _propagator(ctmc, q, horizon, r)
     else:
@@ -408,10 +455,12 @@ def _base_step_terms(qt: float) -> tuple[np.ndarray, np.ndarray]:
     return w[:last + 1], tails[:last + 1]
 
 
-def _uniformized(ctmc: Ctmc, q: float) -> sp.csr_matrix:
-    """Jump matrix ``P = I + Q / q`` of the uniformized chain."""
-    return (sp.identity(ctmc.n, format="csr")
-            + ctmc.generator.multiply(1.0 / q)).tocsr()
+def _dense_generator(ctmc: Ctmc) -> np.ndarray:
+    """``Q`` as a dense n x n array, from the chain's triplets."""
+    q_mat = np.zeros((ctmc.n, ctmc.n))
+    q_mat[ctmc.rows, ctmc.cols] = ctmc.rates
+    np.fill_diagonal(q_mat, -ctmc.exit_rates)
+    return q_mat
 
 
 def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
@@ -420,10 +469,12 @@ def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
 
     The complement ``v(t) = int_0^t exp(Q s) ds @ d``, ``d = max(r) - r``,
     solves ``v' = Q v + d`` from ``v(0) = 0``; integrating it makes the
-    error estimate relative to the small downtime-style quantity.  A
-    start that is absorbing at ``max(r)`` has a complement of exactly
-    zero, which the LU solves leave as rounding noise of up to about
-    ``n * eps * max(r) * t``; no step count makes that converge.
+    error estimate relative to the small downtime-style quantity.  The
+    LU solves leave rounding noise of up to about ``n * eps * max(r) *
+    t`` in every complement, so one below ``noise / tol`` is met to
+    ``noise`` rather than to ``tol`` of itself: a start absorbing at
+    ``max(r)``, whose complement is exactly zero, or one holding so many
+    spares that its complement is 1e-13 of ``max(r) * t``.
     """
     top = float(reward.max())
     noise = ctmc.n * np.finfo(float).eps * top * t
@@ -432,10 +483,12 @@ def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
     return top * t - v
 
 
-def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
+def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
            floor: float, forcing: np.ndarray | None = None,
            noise: float = 0.0) -> np.ndarray:
     """``z(t)`` of ``z' = a z + forcing`` by ``N`` equal Radau IIA steps.
+
+    ``a`` is a scipy sparse matrix, ``Q`` or its transpose.
 
     A constant forcing is the augmented system ``[z, 1]' = [[a, forcing],
     [0, 0]] [z, 1]``; each shifted solve against it is eliminated by
@@ -445,15 +498,18 @@ def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
 
     Runs of ``N`` and ``2N`` steps give the order-5 estimate ``|z_N -
     z_2N| / 31`` of each entry's error in ``z_2N``, which is returned once
-    every estimate is at most ``tol * max(|z_2N|, floor)`` or both runs
-    of its entry lie within ``noise`` of zero.  Otherwise the
+    every estimate is at most ``tol * max(|z_2N|, floor, noise / tol)``:
+    relative to the entry, but never finer than the rounding ``noise``
+    the solves leave, which no step count removes.  Otherwise the
     estimate, falling like ``N**-5``, sizes the next pair; a pair beyond
     ``_IMPLICIT_MAX_STEPS`` fails the solve.
     """
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
+
     n = a.shape[0]
-    _check_dense_fits(n)
-    a = sp.csc_matrix(a)
-    eye = sp.identity(n, format="csc")
+    a = csc_matrix(a)
+    eye = identity(n, format="csc")
 
     def advance(steps: int) -> np.ndarray:
         h = t / steps
@@ -476,9 +532,9 @@ def _radau(a: sp.spmatrix, z0: np.ndarray, t: float, tol: float, qt: float,
     while True:
         fine = advance(2 * steps)
         estimate = np.abs(coarse - fine) / _RADAU_ERROR_DIVISOR
-        settled = (estimate == 0.0) | (np.maximum(np.abs(coarse), np.abs(fine)) <= noise)
+        scale = np.maximum(np.abs(fine), max(floor, noise / tol))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(settled, 0.0, estimate / np.maximum(np.abs(fine), floor))
+            ratio = np.where(estimate == 0.0, 0.0, estimate / scale)
         worst = float(ratio.max())   # a NaN fails every test below
         if worst <= tol:
             return fine
@@ -506,16 +562,12 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
     not needed.
     """
     n = ctmc.n
-    _check_dense_fits(n)
     levels = _squaring_levels(q * t)
     dt = t / (1 << levels)
 
     w, tails = _base_step_terms(q * dt)
     right = len(w) - 1
-    if n <= _DENSE_BASE_MAX_N:
-        p_step = np.eye(n) + ctmc.generator.toarray() / q
-    else:
-        p_step = _uniformized(ctmc, q)
+    p_step = np.eye(n) + _dense_generator(ctmc) / q
 
     # M(dt) sums P^k weighted by the Poisson pmf, c(dt) sums P^k [r, 1]
     # weighted by the Poisson tails.

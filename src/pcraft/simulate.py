@@ -143,11 +143,7 @@ def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]
     per-replication arrays would not fit in memory.
     """
     n = ctmc.n
-    gen = ctmc.generator.tocoo()
-    off = (gen.row != gen.col) & (gen.data > 0.0)
-    rows, cols, rates = gen.row[off], gen.col[off], gen.data[off]
-    order = np.lexsort((cols, rows))
-    rows, cols, rates = rows[order], cols[order], rates[order]
+    rows, cols, rates = ctmc.rows, ctmc.cols, ctmc.rates   # sorted by (row, col)
     width = max(int(np.bincount(rows, minlength=n).max()), 1)
     _check_batch_fits(replications, n, width)
 

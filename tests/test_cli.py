@@ -254,6 +254,21 @@ class TestAvail:
         for row in rows[1:]:
             assert 0.0 < float(row[5]) <= 1.0
 
+    def test_tiny_downtime_on_a_large_chain(self, tmp_path, capsys):
+        # A 311-state chain whose all-up start is down 1.49e-12 of the year:
+        # quadrature of P(Bin(310, e^{-lam s}) < 10) gives 1.494413e-12.
+        cfg = write_cfg(tmp_path, """
+            technique = ARA
+            deployment = on-premises
+            node_variant = native
+            hw_crash_per_year = 2
+            extra_nodes = 300
+        """)
+        code, out, _ = run(["avail", "--config", cfg], capsys)
+        assert code == 0
+        downtime_hours = float(rows_of(out)[1][7])
+        assert downtime_hours / 8766.0 == pytest.approx(1.494413e-12, rel=1e-4)
+
     def test_extra_nodes_raise_availability(self, tmp_path, capsys):
         base = """
             technique = PF

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
-import scipy.sparse
 import scipy.stats
 
 from pcraft.availability import AvailRates, ClusterSpec, availability, build_availability_model
@@ -84,6 +85,44 @@ class TestBuild:
                        {"u": 1.0, "d": 0.0})
         b = build_ctmc([("u", "d", 3.0), ("d", "u", 1.0)], {"u": 1.0, "d": 0.0})
         assert np.allclose(a.generator.toarray(), b.generator.toarray())
+
+    def test_generator_is_the_dense_matrix_of_the_transitions(self):
+        rng = np.random.default_rng(5)
+        n = 12
+        transitions = [(int(i), int(j), float(rng.uniform(0.1, 2.0)))
+                       for i, j in rng.integers(0, n, size=(80, 2)) if i != j]
+        transitions += transitions[:10]     # repeated (src, dst) pairs are summed
+        chain = build_ctmc(transitions, {i: float(i == 0) for i in range(n)})
+        expected = np.zeros((n, n))
+        for i, j, rate in transitions:
+            expected[i, j] += rate
+        np.fill_diagonal(expected, -expected.sum(axis=1))
+        np.testing.assert_allclose(chain.generator.toarray(), expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(chain.exit_rates, -np.diag(expected), rtol=1e-15)
+        assert np.all(np.diff(chain.rows * n + chain.cols) > 0)
+
+    def test_generator_is_built_once_on_first_access(self):
+        chain = two_state(1.0, 2.0)
+        assert "generator" not in vars(chain)
+        assert chain.generator is chain.generator
+        # An absorbing state stores no diagonal zero.
+        assert pure_death(1.0).generator.nnz == 2
+
+    def test_constructor_sorts_and_sums_triplets(self):
+        chain = Ctmc(("a", "b", "c"), [2, 0, 2, 0], [0, 1, 0, 2], [1.0, 2.0, 0.5, 4.0],
+                     np.array([1.0, 0.0, 0.0]))
+        assert chain.rows.tolist() == [0, 0, 2]
+        assert chain.cols.tolist() == [1, 2, 0]
+        assert chain.rates.tolist() == [2.0, 4.0, 1.5]
+        assert chain.exit_rates.tolist() == [6.0, 0.0, 1.5]
+        assert not chain.rates.flags.writeable
+
+    @pytest.mark.parametrize("rows, cols, rates", [
+        ([0], [0], [1.0]), ([0], [2], [1.0]), ([-1], [0], [1.0]),
+        ([0], [1], [0.0]), ([0], [1], [float("inf")]), ([0, 1], [1], [1.0, 1.0])])
+    def test_constructor_rejects_bad_triplets(self, rows, cols, rates):
+        with pytest.raises(ValueError, match="rate"):
+            Ctmc(("a", "b"), rows, cols, rates, np.array([1.0, 0.0]))
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(7)
@@ -375,7 +414,8 @@ class TestOccupancyKernel:
         pf = pf_family(64).ctmc
         assert pf.n == 1040 and _route(pf) == "implicit"
 
-    @pytest.mark.parametrize("n", [2, 9, 30, 80, 150, 300])
+    # 65-128 states: squaring's base step multiplies by a dense P there too.
+    @pytest.mark.parametrize("n", [2, 9, 30, 65, 80, 100, 128, 150, 300])
     def test_implicit_and_squaring_routes_agree(self, n):
         rng = np.random.default_rng(n)
         chain = random_generator_chain(rng, n)
@@ -396,7 +436,7 @@ class TestOccupancyKernel:
         for n, rate_scale in ((6, 1.0), (40, 1e4)):
             chain = random_generator_chain(rng, n, rate_scale)
             initial = rng.dirichlet(np.ones(n))
-            chain = Ctmc(chain.states, chain.generator, initial)
+            chain = dataclasses.replace(chain, initial=initial)
             reward = rng.uniform(0.0, 1.0, size=n)
             for horizon in (3.0, 1e3):
                 assert cumulative_occupancy(chain, reward, horizon) == float(
@@ -463,12 +503,11 @@ class TestOccupancyKernel:
         n = 200_000
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         assert 3 * 8 * n * n > physical
-        up = np.ones(n - 1)
-        off = scipy.sparse.diags([up, up], [1, -1], format="csr")
-        gen = (off - scipy.sparse.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+        rows = np.concatenate([np.arange(n - 1), np.arange(1, n)])
+        cols = np.concatenate([np.arange(1, n), np.arange(n - 1)])
         initial = np.zeros(n)
         initial[0] = 1.0
-        chain = Ctmc(tuple(range(n)), gen, initial)
+        chain = Ctmc(tuple(range(n)), rows, cols, np.ones(2 * (n - 1)), initial)
         horizon = 1e15 / (1.02 * 2.0)
         tracemalloc.start()
         try:
@@ -541,6 +580,28 @@ class TestImplicitRoute:
         assert _route(chain) == "implicit"
         assert cumulative_occupancy(chain, reward, horizon) == pytest.approx(
             squaring[0], rel=1e-12)
+
+    def test_tiny_complements_meet_the_rounding_floor(self):
+        # On-premises ARA, 10 needed of up to 350 nodes, 2 crashes/yr over a
+        # year: the starts below hold 230 to 320 spares, and their downtime
+        # shares run from 5.6e-9 down to 1.3e-13, beneath what 1e-10 of
+        # each can resolve through the LU rounding.  Each is checked against
+        # quadrature of P(Bin(10 + extra, e^{-lam s}) < 10) over [0, T],
+        # within 1e-10 of itself or the floor n * eps of the horizon.
+        lam = 2.0 / YEAR
+        model = build_availability_model(
+            ClusterSpec("ARA", "on-premises", num=10, op=340), AvailRates(2.0, 1.0 / 15.0))
+        chain = model.ctmc
+        assert chain.n == 351 and _route(chain) == "implicit"
+        occ = occupancy_from_each_start(chain, model.up_reward, YEAR)
+        floor = chain.n * np.finfo(float).eps
+        for extra in (230, 250, 265, 280, 300, 320):
+            exact, _ = scipy.integrate.quad(
+                lambda s: scipy.stats.binom.cdf(9, 10 + extra, math.exp(-lam * s)),
+                0.0, YEAR, epsabs=0.0, epsrel=1e-12, limit=400)
+            exact /= YEAR
+            got = (YEAR - occ[chain.index_of(10 + extra)]) / YEAR
+            assert abs(got - exact) <= max(1e-10 * exact, floor), extra
 
     @pytest.mark.parametrize("variant, per_month, hours",
                              [("ft_ilr", 10, 8766), ("ft_ilr", 100, 720), ("ft_tx", 100, 8766)])

@@ -1,12 +1,17 @@
 """Static hygiene of the package: no unused imports, no dangling ``__all__``,
-no orphaned private or exported names.
+no orphaned private or exported names, no ``scipy`` at import time.
 
-The rules read the source with ``ast`` and import nothing.  A name
-counts as used when the module loads it anywhere (annotations included)
-or re-exports it through ``__all__``.
+The static rules read the source with ``ast`` and import nothing.  A
+name counts as used when the module loads it anywhere (annotations
+included) or re-exports it through ``__all__``.  One subprocess test
+checks which modules the small-chain commands actually load.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -111,6 +116,64 @@ def test_planner_imports_no_scipy():
     outside |= {node.module.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert outside <= {"__future__", "dataclasses", "math", "numpy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_level_scipy_import(path):
+    # Importing scipy.sparse and its linalg takes longer than most commands
+    # spend on their chains; only the routes that need it import it.
+    top = [node for node in parse(path).body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [alias.name for node in top if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in top
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert not [name for name in names if name.split(".")[0] == "scipy"]
+
+
+def test_small_chain_commands_load_no_scipy(tmp_path):
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy as np
+        import pcraft.ctmc
+        from pcraft.cli import main
+        from pcraft.simulate import simulate_ctmc
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        assert not scipy_modules(), ("import", scipy_modules())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["plan", "--config", sys.argv[1]]) == 0
+        assert not scipy_modules(), ("plan", scipy_modules())
+        n = 300
+        chain = pcraft.ctmc.build_ctmc(
+            [(i, i + 1, 1.0) for i in range(n - 1)] + [(i + 1, i, 2.0) for i in range(n - 1)],
+            {i: float(i == 0) for i in range(n)})
+        reward = (np.arange(n) < 5).astype(float)
+        simulate_ctmc(chain, reward, 50.0, replications=20, seed=1)
+        assert not scipy_modules(), ("simulate", scipy_modules())
+        occupancy = pcraft.ctmc.occupancy_from_each_start(chain, reward, 50.0)
+        assert 0.0 < occupancy[0] < 50.0 and "scipy.sparse.linalg" in sys.modules
+    """)
+    cfg = tmp_path / "cloud.cfg"
+    cfg.write_text("technique = ARA\ndeployment = cloud\nhw_crash_per_year = 6\n"
+                   "crash_recovery_seconds = 1800\ntarget_nines = 3\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_ctmc_names_stay_module_functions():
+    # The benchmark's tracer rebinds these by name in every module that
+    # imports them.
+    import pcraft.ctmc
+
+    for name in ("build_ctmc", "cumulative_occupancy", "occupancy_from_each_start",
+                 "transient_distribution"):
+        assert name in pcraft.ctmc.__all__
+        assert getattr(pcraft.ctmc, name).__module__ == "pcraft.ctmc"
 
 
 def test_every_module_is_checked():

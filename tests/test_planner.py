@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from scipy import integrate, stats
 
 import pcraft.planner
 import pcraft.suites
@@ -33,6 +34,16 @@ from pcraft.units import HOUR, YEAR
 # Quadrature of P(Binomial(11, p(t)) >= 10) at 12 crashes/year, 30-minute
 # recovery: the availability the planner must report for its one extra.
 ARA_CLOUD_10_PLUS_1_12PY = 0.9999743759062438
+
+
+def ara_downtime_by_quadrature(base, extra, crashes_per_year, horizon_s=YEAR):
+    """Downtime share of on-premises ARA: the time average of
+    P(Bin(base + extra, e^{-lam s}) < base), no node coming back."""
+    lam = crashes_per_year / YEAR
+    value, _ = integrate.quad(
+        lambda s: stats.binom.cdf(base - 1, base + extra, math.exp(-lam * s)),
+        0.0, horizon_s, epsabs=0.0, epsrel=1e-12, limit=400)
+    return value / horizon_s
 
 
 def request(technique=ARA, deployment=CLOUD, variant="native", sert=10.0,
@@ -144,6 +155,30 @@ class TestOnPremFamilies:
         slow = plan_capacity(req, strategy="linear")
         assert fast.extra == slow.extra
         assert fast.availability == pytest.approx(slow.availability, rel=1e-12)
+
+    def test_ara_ten_nines_at_two_crashes_per_year(self):
+        # The family chains (n = 313 to 339) hold starts whose downtime
+        # shares fall to 1e-12, below what the implicit route resolves to
+        # 1e-10 of itself; it must settle them at its rounding floor.
+        target = 1e-10
+        for variant, base, extra in (("native", 10, 265), ("ft_ilr", 11, 277),
+                                     ("ft_tx", 15, 323)):
+            result = plan_capacity(request(deployment=ON_PREMISES, variant=variant,
+                                           crashes=2.0, target=10.0))
+            assert (result.base, result.extra, result.feasible) == (base, extra, True)
+            assert (ara_downtime_by_quadrature(base, extra, 2.0) <= target
+                    < ara_downtime_by_quadrature(base, extra - 1, 2.0))
+            assert 1.0 - result.availability == pytest.approx(
+                ara_downtime_by_quadrature(base, extra, 2.0), rel=1e-5)
+
+    def test_ara_twelve_nines_matches_linear(self):
+        req = request(deployment=ON_PREMISES, crashes=1.5, target=12.0)
+        fast = plan_capacity(req)
+        slow = plan_capacity(req, strategy="linear")
+        assert fast.extra == slow.extra == 174 and fast.feasible and slow.feasible
+        assert 1.0 - fast.availability == pytest.approx(1.0 - slow.availability, rel=1e-4)
+        assert (ara_downtime_by_quadrature(10, 174, 1.5) <= 1e-12
+                < ara_downtime_by_quadrature(10, 173, 1.5))
 
     def test_repair_takes_the_per_pool_route(self):
         req = request(technique=PF, deployment=ON_PREMISES, sert=10.0,
