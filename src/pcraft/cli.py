@@ -171,7 +171,7 @@ def _cmd_ingest(args, config: ScenarioConfig):
         order.append((app, variant))
 
     ratios = {
-        app: degradation_ratios(table).ratios if "native" in table else {}
+        app: degradation_ratios({app: table}).ratios if "native" in table else {}
         for app, table in nodt.items()
     }
     rows = [

@@ -478,14 +478,12 @@ def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
     """
     top = float(reward.max())
     noise = ctmc.n * np.finfo(float).eps * top * t
-    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, 0.0, top - reward,
-               noise)
+    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, noise / tol, top - reward)
     return top * t - v
 
 
 def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
-           floor: float, forcing: np.ndarray | None = None,
-           noise: float = 0.0) -> np.ndarray:
+           floor: float, forcing: np.ndarray | None = None) -> np.ndarray:
     """``z(t)`` of ``z' = a z + forcing`` by ``N`` equal Radau IIA steps.
 
     ``a`` is a scipy sparse matrix, ``Q`` or its transpose.
@@ -498,9 +496,9 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
 
     Runs of ``N`` and ``2N`` steps give the order-5 estimate ``|z_N -
     z_2N| / 31`` of each entry's error in ``z_2N``, which is returned once
-    every estimate is at most ``tol * max(|z_2N|, floor, noise / tol)``:
-    relative to the entry, but never finer than the rounding ``noise``
-    the solves leave, which no step count removes.  Otherwise the
+    every estimate is at most ``tol * max(|z_2N|, floor)``: relative to
+    the entry, but never finer than ``tol * floor``, such as the rounding
+    noise the solves leave, which no step count removes.  Otherwise the
     estimate, falling like ``N**-5``, sizes the next pair; a pair beyond
     ``_IMPLICIT_MAX_STEPS`` fails the solve.
     """
@@ -532,7 +530,7 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
     while True:
         fine = advance(2 * steps)
         estimate = np.abs(coarse - fine) / _RADAU_ERROR_DIVISOR
-        scale = np.maximum(np.abs(fine), max(floor, noise / tol))
+        scale = np.maximum(np.abs(fine), floor)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(estimate == 0.0, 0.0, estimate / scale)
         worst = float(ratio.max())   # a NaN fails every test below
@@ -629,9 +627,8 @@ def _check_dense_fits(n: int) -> None:
     It depends on n alone, so a chain it refuses is refused at every
     ``q*t``.
     """
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):   # no sysconf: cannot tell
+    physical = _physical_memory()
+    if physical is None:
         return
     needed = _DENSE_ARRAYS * 8 * n * n
     if needed > physical:
@@ -639,3 +636,11 @@ def _check_dense_fits(n: int) -> None:
             f"a {n}-state chain may need about {needed / 1e9:.0f} GB to solve, "
             f"more than the {physical / 1e9:.0f} GB of physical memory; lower "
             f"search_cap or extra_nodes")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf: cannot tell
+        return None

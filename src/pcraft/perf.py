@@ -50,7 +50,8 @@ def parse_benchmark_csv(source, application: str | None = None,
     """Parse a benchmark CSV with a mandatory header row.
 
     ``source`` may be a path or an open text stream.  Numeric columns
-    must parse as floats; errors name the offending row and column.
+    must parse as finite floats; errors name the offending row and
+    column.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as handle:
@@ -79,9 +80,11 @@ def parse_benchmark_csv(source, application: str | None = None,
             try:
                 values[name] = float(cell)
             except ValueError:
+                values[name] = math.nan
+            if not math.isfinite(values[name]):   # unparsed, or nan / inf
                 raise ValueError(
                     f"benchmark CSV row {line_no}, column {name!r}: "
-                    f"cannot parse {cell!r} as a number") from None
+                    f"cannot parse {cell!r} as a finite number")
         rows.append(PerfRow(values["offered_rate"], values["achieved_rate"],
                             values["latency_ms"],
                             values.get("cpu_pct")))

@@ -8,15 +8,16 @@ variant's relative node throughput.  Availability second: extra nodes
 active redundancy) are added until the interval availability over the
 planning horizon reaches the target number of nines.
 
-Availability is monotone in the number of extras, so the search is an
-exponential probe followed by bisection.  Three shortcuts keep large
-searches cheap without changing any answer:
+Availability is monotone in the number of extras, so a search that
+builds one chain per extra count probes exponentially and bisects.
+Three shortcuts keep large searches cheap without changing any answer:
 
 * On-premises chains without pool repair never revisit higher pool
   levels, so the chain built for the largest pool contains every
   smaller pool's chain as a sub-lattice.  One accumulated-occupancy
   solve of the big chain therefore yields the availability of every
-  pool size at once.
+  pool size up to its cap at once, and the answer is the first of them
+  that meets the target.
 * A finite standby pool can never beat the unbounded (cloud) pool, so
   when the unbounded-pool availability already misses the target the
   on-premises search is declared infeasible without climbing to the cap.
@@ -32,14 +33,17 @@ searches cheap without changing any answer:
   cap is the smallest extra count whose bound meets the target (at most
   the search cap).  The family solve is exact for every smaller count,
   so any cap at or above the answer gives the answer, and a cap that
-  undershoots (rounding, or a tail sum cut short) only lets the doubling
-  go on as before.  The bound changes the cost, never an answer.
+  undershoots (rounding, or a tail sum cut short) only costs more
+  solves, each at double the cap.  The bound changes the cost, never an
+  answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .availability import (
     ARA,
@@ -124,10 +128,9 @@ class PlanResult:
     target, ``feasible`` is False, ``extra`` reports the cap, and
     ``availability`` the best availability bound established.
     ``evaluations`` counts chain solves: the unbounded-pool ceiling for
-    on-premises PF, then one per extra count probed, or, for on-premises
-    families, one per family cap solved (one when the bound-derived
-    first cap reaches the answer, as it does unless rounding undercuts
-    it).
+    PF, then one per extra count probed, or, for on-premises families,
+    one per family cap solved (one when the bound-derived first cap
+    reaches the answer, as it does unless rounding undercuts it).
     """
 
     technique: str
@@ -160,9 +163,8 @@ def plan_capacity(request: PlanRequest, strategy: str = "auto") -> PlanResult:
 
     if request.technique == PF and request.deployment == CLOUD:
         # The cloud pool is unbounded; there is nothing to size.
-        evaluator = _PerExtraEvaluator(request, base)
-        avail = evaluator(0)
-        return _result(request, base, 0, avail, avail >= target, evaluator.evaluations)
+        avail = _unbounded_pool_availability(request, base)
+        return _result(request, base, 0, avail, avail >= target, 1)
 
     if strategy == "linear":
         evaluator = _PerExtraEvaluator(request, base)
@@ -177,12 +179,22 @@ def plan_capacity(request: PlanRequest, strategy: str = "auto") -> PlanResult:
         if ceiling < target:
             return _result(request, base, request.search_cap, ceiling, False, evaluations)
 
-    first = _first_family_cap(request, base, ceiling)
-    evaluator = _make_evaluator(request, base, first)
-    extra, avail, feasible = _doubling_search(evaluator, target, request.search_cap,
-                                              first)
-    return _result(request, base, extra, avail, feasible,
-                   evaluator.evaluations + evaluations)
+    if not _has_family(request):
+        evaluator = _PerExtraEvaluator(request, base)
+        extra, avail, feasible = _doubling_search(evaluator, target, request.search_cap)
+        return _result(request, base, extra, avail, feasible,
+                       evaluator.evaluations + evaluations)
+
+    cap = _first_family_cap(request, base, ceiling)
+    while True:
+        avails = _family_availabilities(request, base, cap)
+        evaluations += 1
+        met = np.flatnonzero(avails >= target)
+        if met.size or cap == request.search_cap:
+            extra = int(met[0]) if met.size else cap
+            return _result(request, base, extra, float(avails[extra]), bool(met.size),
+                           evaluations)
+        cap = min(max(2 * cap, 1), request.search_cap)
 
 
 def _result(request: PlanRequest, base: int, extra: int, avail: float,
@@ -222,42 +234,20 @@ class _PerExtraEvaluator:
         return self._cache[extra]
 
 
-class _FamilyEvaluator:
-    """One accumulated-occupancy solve covers every extra count up to a cap.
+def _family_availabilities(request: PlanRequest, base: int, cap: int) -> np.ndarray:
+    """Availability of every extra count ``e = 0..cap`` from one solve.
 
     Valid only for on-premises chains without pool repair: their state
     lattices nest, so the availability for ``extra = e`` is the
-    normalized accumulated up-time of the largest chain started from the
-    fully-up state with ``e`` spares.  The first solve covers at least
-    ``first_cap``.
+    normalized accumulated up-time of the cap chain started from the
+    fully-up state with ``e`` spares.
     """
-
-    def __init__(self, request: PlanRequest, base: int, first_cap: int = 0) -> None:
-        self._request = request
-        self._base = base
-        self._first_cap = first_cap
-        self._solved_cap = -1
-        self._cache: dict[int, float] = {}
-        self.evaluations = 0
-
-    def __call__(self, extra: int) -> float:
-        if extra > self._solved_cap:
-            self._solve(max(extra, self._first_cap))
-        return self._cache[extra]
-
-    def _solve(self, cap: int) -> None:
-        request = self._request
-        base = self._base
-        spec = ClusterSpec.with_extra(request.technique, request.deployment, base, cap)
-        model = build_availability_model(spec, request.rates, request.parallel_recovery)
-        occupancy = occupancy_from_each_start(
-            model.ctmc, model.up_reward, request.horizon_s)
-        for extra in range(cap + 1):
-            start = base + extra if request.technique == ARA else (base, extra)
-            self._cache[extra] = float(
-                occupancy[model.ctmc.index_of(start)] / request.horizon_s)
-        self._solved_cap = cap
-        self.evaluations += 1
+    spec = ClusterSpec.with_extra(request.technique, request.deployment, base, cap)
+    model = build_availability_model(spec, request.rates, request.parallel_recovery)
+    occupancy = occupancy_from_each_start(model.ctmc, model.up_reward, request.horizon_s)
+    starts = [model.ctmc.index_of(base + e if request.technique == ARA else (base, e))
+              for e in range(cap + 1)]
+    return occupancy[starts] / request.horizon_s
 
 
 def _has_family(request: PlanRequest) -> bool:
@@ -266,22 +256,16 @@ def _has_family(request: PlanRequest) -> bool:
         request.technique == ARA or request.rates.pool_repair_per_s is None)
 
 
-def _make_evaluator(request: PlanRequest, base: int, first_cap: int):
-    if _has_family(request):
-        return _FamilyEvaluator(request, base, first_cap)
-    return _PerExtraEvaluator(request, base)
-
-
 def _first_family_cap(request: PlanRequest, base: int, ceiling: float) -> int:
     """Smallest extra count whose availability lower bound meets the target.
 
-    Capped at ``request.search_cap``; 0 where no bound applies (no
-    family, or crash counts too small or too large for the tail sums'
-    logarithms), which leaves the doubling search as it was.  PF reads
-    the unbounded-pool availability ``ceiling``.
+    Capped at ``request.search_cap``; 0 where no bound applies (crash
+    counts too small or too large for the tail sums' logarithms), which
+    leaves the family to double its cap from 0.  PF reads the
+    unbounded-pool availability ``ceiling``.
     """
     lam_t = request.rates.hw_crash_per_s * request.horizon_s
-    if not _has_family(request) or not 0.0 < base * lam_t < math.inf:
+    if not 0.0 < base * lam_t < math.inf:
         return 0
     if request.technique == ARA:
         log_dead, log_alive = math.log(-math.expm1(-lam_t)), -lam_t
@@ -354,15 +338,14 @@ def _unbounded_pool_availability(request: PlanRequest, base: int) -> float:
     return availability(model, request.horizon_s).availability
 
 
-def _doubling_search(evaluator, target: float, cap: int,
-                     first: int = 1) -> tuple[int, float, bool]:
-    """Probe 0, then ``first`` (at least 1), doubling to ``cap``; bisect the last gap."""
+def _doubling_search(evaluator, target: float, cap: int) -> tuple[int, float, bool]:
+    """Probe 0, then 1, doubling to ``cap``; bisect the last gap."""
     avail = evaluator(0)
     if avail >= target:
         return 0, avail, True
     if cap == 0:
         return 0, avail, False
-    lo, hi = 0, min(max(first, 1), cap)
+    lo, hi = 0, 1
     while evaluator(hi) < target:
         if hi >= cap:
             return cap, evaluator(cap), False

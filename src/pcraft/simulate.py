@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import Ctmc, indicator_reward
+from .ctmc import Ctmc, _physical_memory, indicator_reward
 
 __all__ = ["SimEstimate", "simulate_ctmc"]
 
@@ -160,9 +159,8 @@ def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]
 
 def _check_batch_fits(replications: int, n: int, width: int) -> None:
     """Refuse a simulation whose batched arrays exceed physical memory."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):   # no sysconf: cannot tell
+    physical = _physical_memory()
+    if physical is None:
         return
     table = _TABLE_WORDS * 8 * n * width
     if table > physical:

@@ -360,6 +360,15 @@ class TestIngest:
         assert (code, out) == (2, "")
         assert err.startswith("pcraft: configuration key 'latency_threshold_ms'")
 
+    def test_ratio_errors_name_the_application(self, tmp_path, capsys):
+        curve = tmp_path / "dead.csv"
+        curve.write_text("offered_rate,achieved_rate,latency_ms\n100,0,1\n",
+                         encoding="utf-8")
+        code, out, err = run(["ingest", f"web:native:{curve}",
+                              "--latency-threshold-ms", "10"], capsys)
+        assert (code, out) == (1, "")
+        assert "application 'web': native throughput must be positive" in err
+
     def test_bad_label(self, capsys):
         code, _, err = run(["ingest", "only-a-path.csv",
                             "--latency-threshold-ms", "1"], capsys)

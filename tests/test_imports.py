@@ -107,6 +107,25 @@ def test_no_orphaned_private_names():
     assert not orphans, f"names nothing in the package uses: {', '.join(orphans)}"
 
 
+def test_physical_memory_is_read_in_one_place():
+    # Both memory guards size the machine through one helper, so they
+    # cannot disagree on its size or on what to do without sysconf.
+    inside, outside = 0, []
+    for path in MODULES:
+        tree = parse(path)
+        helper = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_physical_memory"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Attribute) and node.attr == "sysconf")
+                    or (isinstance(node, ast.Name) and node.id == "sysconf")):
+                if id(node) in helper:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert inside and not outside, f"os.sysconf read outside _physical_memory: {outside}"
+
+
 def test_planner_imports_no_scipy():
     # Its first-cap bounds need math alone; scipy.stats would add to the
     # start-up of every command that plans.

@@ -60,6 +60,16 @@ class TestParsing:
         with pytest.raises(ValueError, match="row 3.*achieved_rate"):
             parse_benchmark_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, cell):
+        # A nan achieved rate would make the saturation throughput depend
+        # on row order.
+        for rows in (f"1,100,1\n2,{cell},1\n", f"2,{cell},1\n1,100,1\n"):
+            text = "offered_rate,achieved_rate,latency_ms\n" + rows
+            line = 2 + rows.splitlines().index(f"2,{cell},1")
+            with pytest.raises(ValueError, match=f"row {line}, column 'achieved_rate'"):
+                parse_benchmark_csv(io.StringIO(text))
+
     def test_empty_file(self):
         with pytest.raises(ValueError, match="header"):
             parse_benchmark_csv(io.StringIO(""))

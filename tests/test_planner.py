@@ -24,7 +24,7 @@ from pcraft import (
 )
 from pcraft.config import ScenarioConfig
 from pcraft.planner import (
-    _FamilyEvaluator,
+    _family_availabilities,
     _first_family_cap,
     _unbounded_pool_availability,
 )
@@ -208,10 +208,11 @@ class TestOnPremFamilies:
             req = replace(request(technique=technique, deployment=ON_PREMISES, sert=sert,
                                   crashes=crashes, recovery_s=recovery_s, search_cap=8),
                           horizon_s=horizon_s)
-            evaluator = _FamilyEvaluator(req, required_base_nodes(sert, req.effective_ratio))
+            avails = _family_availabilities(
+                req, required_base_nodes(sert, req.effective_ratio), 8)
             outside += [(horizon_s, crashes, recovery_s, sert, extra, avail)
-                        for extra in range(8, -1, -1)
-                        if not 0.0 <= (avail := evaluator(extra)) <= 1.0]
+                        for extra, avail in enumerate(avails)
+                        if not 0.0 <= avail <= 1.0]
         assert not outside
 
 
@@ -266,6 +267,30 @@ class TestFirstFamilyCap:
         assert (result.extra, result.feasible) == (linear.extra, True)
         assert result.availability == pytest.approx(linear.availability, rel=1e-12)
         assert result.evaluations > once.evaluations    # the doubling went on
+
+    @pytest.mark.parametrize("technique", [PF, ARA])
+    def test_undershooting_ladder_ends_at_the_search_cap(self, monkeypatch, technique):
+        # Pools of 30 (PF) and 114 (ARA) extras meet the target: the
+        # ladder from a first cap of 3 doubles to a search cap that is
+        # not a power of two, and stops there infeasible.
+        req = request(technique=technique, deployment=ON_PREMISES, crashes=2.0,
+                      recovery_s=15.0, search_cap=20)
+        caps = []
+        family = pcraft.planner._family_availabilities
+
+        def recording(req, base, cap):
+            caps.append(cap)
+            return family(req, base, cap)
+
+        monkeypatch.setattr(pcraft.planner, "_first_family_cap", lambda *args: 3)
+        monkeypatch.setattr(pcraft.planner, "_family_availabilities", recording)
+        result = plan_capacity(req)
+        assert caps == [3, 6, 12, 20]
+        assert (result.extra, result.feasible) == (20, False)
+        assert result.evaluations == len(caps) + (technique == PF)
+        linear = plan_capacity(req, strategy="linear")
+        assert (linear.extra, linear.feasible) == (20, False)
+        assert result.availability == pytest.approx(linear.availability, rel=1e-12)
 
     @pytest.mark.parametrize("suite", ["onprem-pf-pool", "onprem-ara-extras"])
     def test_suite_family_plans_solve_once(self, monkeypatch, suite):
@@ -376,7 +401,15 @@ class TestSearchMechanics:
         assert below.availability < target <= result.availability
 
     def test_search_cap_zero_checks_only_the_base(self):
-        result = plan_capacity(request(crashes=12.0, recovery_s=1800.0,
-                                       search_cap=0))
-        assert not result.feasible
-        assert result.extra == 0
+        # Cloud ARA probes extra 0; on premises the family is solved at
+        # cap 0, after the unbounded-pool ceiling for PF.
+        for technique, deployment, crashes, recovery_s, evaluations in (
+                (ARA, CLOUD, 12.0, 1800.0, 1), (PF, ON_PREMISES, 1.0, 15.0, 2),
+                (ARA, ON_PREMISES, 1.0, 15.0, 1)):
+            req = request(technique=technique, deployment=deployment, crashes=crashes,
+                          recovery_s=recovery_s, search_cap=0)
+            result = plan_capacity(req)
+            assert not result.feasible
+            assert (result.extra, result.evaluations) == (0, evaluations)
+            linear = plan_capacity(req, strategy="linear")
+            assert result.availability == pytest.approx(linear.availability, rel=1e-12)
