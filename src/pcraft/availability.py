@@ -17,7 +17,8 @@ States track live node counts (plus the standby pool on premises), so
 chains stay small: crash transitions carry ``up * lambda`` and recovery
 transitions are multiplied by the number of pending repairs (every node
 recovers in parallel).  ``parallel_recovery=False`` switches to a single
-repair facility for sensitivity studies.
+repair facility for sensitivity studies.  Every chain is built one way:
+as the states reachable from the all-up start under its moves.
 """
 
 from __future__ import annotations
@@ -153,28 +154,21 @@ def build_pf_model(spec: ClusterSpec, rates: AvailRates,
                    parallel_recovery: bool = True) -> AvailabilityModel:
     """Passive-failover chain for the given cluster and rates.
 
-    Cloud states are live-node counts 0..num.  On-premises states are
-    ``(up, pool)`` pairs reachable from the fully-provisioned start;
-    broken nodes rejoin the pool only when ``rates.pool_repair_per_s``
-    is set.
+    Cloud states are live-node counts 0..num: the unbounded pool makes it
+    the ARA chain without extras.  On-premises states are ``(up, pool)``
+    pairs reachable from the fully-provisioned start; broken nodes rejoin
+    the pool only when ``rates.pool_repair_per_s`` is set.
     """
     if spec.technique != PF:
         raise ValueError(f"expected a {PF} cluster spec, got {spec.technique!r}")
-    lam = rates.hw_crash_per_s
-    rho = rates.crash_recovery_per_s
     num = spec.num
 
     if spec.deployment == CLOUD:
-        transitions: list[tuple] = []
-        for u in range(num + 1):
-            if u > 0:
-                transitions.append((u, u - 1, u * lam))
-            pending = num - u
-            if pending > 0:
-                rate = pending * rho if parallel_recovery else rho
-                transitions.append((u, u + 1, rate))
-        ctmc = _assemble(transitions, initial=num, states=range(num + 1))
+        ctmc = _birth_death(spec, num, rates, parallel_recovery)
+        live = ctmc.states
     else:
+        lam = rates.hw_crash_per_s
+        rho = rates.crash_recovery_per_s
         repair = rates.pool_repair_per_s
         total = num + spec.pool
 
@@ -191,8 +185,9 @@ def build_pf_model(spec: ClusterSpec, rates: AvailRates,
                 yield (u, p + 1), (broken * repair if parallel_recovery else repair)
 
         ctmc = _explore((num, spec.pool), moves)
+        live = [u for u, _ in ctmc.states]
 
-    up = np.array([1.0 if _up_nodes(s) == num else 0.0 for s in ctmc.states])
+    up = np.array([1.0 if u == num else 0.0 for u in live])
     return AvailabilityModel(ctmc=ctmc, spec=spec, rates=rates, up_reward=up)
 
 
@@ -201,20 +196,8 @@ def build_ara_model(spec: ClusterSpec, rates: AvailRates,
     """Active-redundancy chain: ``num + op`` live nodes, any ``num`` suffice."""
     if spec.technique != ARA:
         raise ValueError(f"expected an {ARA} cluster spec, got {spec.technique!r}")
-    lam = rates.hw_crash_per_s
-    rho = rates.crash_recovery_per_s
-    top = spec.num + spec.op
-
-    transitions: list[tuple] = []
-    for u in range(top + 1):
-        if u > 0:
-            transitions.append((u, u - 1, u * lam))
-        down = top - u
-        if down > 0 and spec.deployment == CLOUD:
-            rate = down * rho if parallel_recovery else rho
-            transitions.append((u, u + 1, rate))
-    ctmc = _assemble(transitions, initial=top, states=range(top + 1))
-    up = np.array([1.0 if _up_nodes(s) >= spec.num else 0.0 for s in ctmc.states])
+    ctmc = _birth_death(spec, spec.num + spec.op, rates, parallel_recovery)
+    up = np.array([1.0 if u >= spec.num else 0.0 for u in ctmc.states])
     return AvailabilityModel(ctmc=ctmc, spec=spec, rates=rates, up_reward=up)
 
 
@@ -224,12 +207,9 @@ def build_availability_model(spec: ClusterSpec, rates: AvailRates,
     return builder(spec, rates, parallel_recovery)
 
 
-def availability(model: AvailabilityModel, horizon_s: float,
-                 tol: float = 1e-10) -> AvailabilityReport:
+def availability(model: AvailabilityModel, horizon_s: float) -> AvailabilityReport:
     """Interval availability over ``horizon_s`` seconds from the all-up start."""
-    if not math.isfinite(horizon_s) or horizon_s <= 0:
-        raise ValueError(f"horizon must be positive and finite, got {horizon_s!r}")
-    up_time = cumulative_occupancy(model.ctmc, model.up_reward, horizon_s, tol)
+    up_time = cumulative_occupancy(model.ctmc, model.up_reward, horizon_s)
     avail = min(up_time / horizon_s, 1.0)
     return AvailabilityReport(
         availability=avail,
@@ -239,13 +219,22 @@ def availability(model: AvailabilityModel, horizon_s: float,
     )
 
 
-def _up_nodes(state) -> int:
-    return state[0] if isinstance(state, tuple) else state
+def _birth_death(spec: ClusterSpec, top: int, rates: AvailRates,
+                 parallel_recovery: bool) -> Ctmc:
+    """Live-node counts 0..top from ``top``: each live node crashes, and in
+    the cloud each of the ``top - up`` crashed nodes is re-provisioned."""
+    lam = rates.hw_crash_per_s
+    rho = rates.crash_recovery_per_s
+    recovers = spec.deployment == CLOUD
 
+    def moves(u: int) -> Iterable[tuple[int, float]]:
+        if u > 0:
+            yield u - 1, u * lam
+        down = top - u
+        if down > 0 and recovers:
+            yield u + 1, (down * rho if parallel_recovery else rho)
 
-def _assemble(transitions, initial, states) -> Ctmc:
-    dist = {s: (1.0 if s == initial else 0.0) for s in states}
-    return build_ctmc(transitions, dist)
+    return _explore(top, moves)
 
 
 def _explore(start, moves) -> Ctmc:

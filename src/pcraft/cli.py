@@ -166,6 +166,8 @@ def _cmd_ingest(args, config: ScenarioConfig):
             raise ConfigError(
                 f"curve {item!r} must be labelled APP:VARIANT:CSV")
         app, variant, path = parts
+        if variant in nodt.get(app, {}):
+            raise ConfigError(f"curve label {app}:{variant} is given more than once")
         curve = parse_benchmark_csv(path, application=app, variant=variant)
         nodt.setdefault(app, {})[variant] = saturation_throughput(curve, threshold)
         order.append((app, variant))

@@ -44,10 +44,18 @@ beyond a logarithm.
   1994), each a real and a complex sparse LU solve.  Its cost does not
   grow with ``q*t``: the stiff components decay within a step.  The
   step count is doubled, or sized from the error estimate, until runs
-  of N and 2N steps agree within ``tol``.  Occupancy is integrated as
-  the complement ``max(r) - r`` of the reward, so that the estimate is
-  relative to the small downtime-style quantity, down to the rounding
-  floor of the LU solves.
+  of N and 2N steps agree.  Occupancy is integrated as the complement
+  ``max(r) - r`` of the reward, so that the estimate is relative to the
+  small downtime-style quantity, down to the rounding floor of the LU
+  solves.
+
+Accuracy is fixed, not a parameter.  Each squaring base step drops
+1e-15 of Poisson mass.  The implicit route bounds the estimated error of
+each probability, and of each start's occupancy complement
+``max(reward) * horizon - occupancy``, by ``_IMPLICIT_TOL`` (1e-10)
+relative to that quantity.  The solve's rounding floor ``n * eps *
+max(reward) * horizon`` caps what it can meet: a complement below that
+floor over ``_IMPLICIT_TOL`` is met to the floor, an absolute error.
 
 The implicit route's floor of 48 steps and four factorizations costs
 more than the n**3 products of squaring on small chains, and less once
@@ -93,6 +101,8 @@ _BASE_STEP_EVENTS = 8.0         # target q*dt for the squaring base step
 _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _SQUARING_MAX_N = 128           # larger chains take the implicit route
+_IMPLICIT_TOL = 1e-10           # implicit route's relative error bound
+_RESIDUAL_TOL = 1e-12           # steady_state's residual over max exit rate
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
 
 # Radau IIA (three stages, order 5) on a linear system z' = A z advances
@@ -255,28 +265,20 @@ def indicator_reward(ctmc: Ctmc, predicate: Callable[[StateLabel], bool]) -> np.
     return np.array([1.0 if predicate(s) else 0.0 for s in ctmc.states])
 
 
-def steady_state(ctmc: Ctmc, tol: float = 1e-12) -> np.ndarray:
+def steady_state(ctmc: Ctmc) -> np.ndarray:
     """Stationary distribution of an ergodic chain.
 
     Ergodicity is established first by a strong-connectivity check on the
     positive-rate graph; reducible chains (absorbing states, unreachable
     states) raise :class:`NotErgodicError`.  The solve itself is GTH
     elimination, and the result is rejected unless the scaled residual
-    ``max|pi Q| / max_exit_rate`` is at most ``tol``.
-
-    Parameters
-    ----------
-    ctmc : Ctmc
-    tol : float
-        Residual acceptance threshold (relative to the largest exit rate).
+    ``max|pi Q| / max_exit_rate`` is at most ``_RESIDUAL_TOL``.
 
     Returns
     -------
     numpy.ndarray
         Distribution aligned with ``ctmc.states``.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     n = ctmc.n
     if n == 1:
         return np.array([1.0])
@@ -307,13 +309,13 @@ def steady_state(ctmc: Ctmc, tol: float = 1e-12) -> np.ndarray:
 
     q_max = float(ctmc.exit_rates.max())
     residual = float(np.abs(pi @ ctmc.generator).max())
-    if residual > tol * max(q_max, np.finfo(float).tiny):
+    if residual > _RESIDUAL_TOL * max(q_max, np.finfo(float).tiny):
         raise ArithmeticError(
             f"stationary solve residual {residual:.3e} exceeds tolerance")
     return pi
 
 
-def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarray:
+def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
     """State distribution at time ``t`` starting from ``ctmc.initial``.
 
     Parameters
@@ -321,17 +323,13 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
     ctmc : Ctmc
     t : float
         Nonnegative time in the generator's rate units.
-    tol : float
-        Bound on the estimated error of each probability on the implicit
-        route.  The squaring route ignores it: each of its base steps
-        drops a fixed 1e-15 of Poisson mass.
 
     Returns
     -------
     numpy.ndarray
-        Distribution aligned with ``ctmc.states``; sums to one within tol.
+        Distribution aligned with ``ctmc.states``; sums to one.
     """
-    _check_time_and_tol(t, tol, allow_zero=True)
+    _check_time(t, allow_zero=True)
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
@@ -340,12 +338,11 @@ def transient_distribution(ctmc: Ctmc, t: float, tol: float = 1e-10) -> np.ndarr
         pi = ctmc.initial @ _propagator(ctmc, q, t)
     else:
         pi = np.maximum(
-            _radau(ctmc.generator.T, ctmc.initial, t, tol, q * t, 1.0), 0.0)
+            _radau(ctmc.generator.T, ctmc.initial, t, _IMPLICIT_TOL, q * t, 1.0), 0.0)
     return pi / pi.sum()
 
 
-def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
-                         tol: float = 1e-10) -> float:
+def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> float:
     """Expected value of ``int_0^horizon reward(X(s)) ds``.
 
     With a 0/1 reward this is the expected time spent in the selected
@@ -358,45 +355,32 @@ def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
         One bounded nonnegative reward per state.
     horizon : float
         Positive horizon in the generator's rate units.
-    tol : float
-        Bound on the implicit route's estimated error of each start's
-        complement ``max(reward) * horizon - occupancy`` relative to that
-        complement.  The solve's rounding floor ``n * eps * max(reward) *
-        horizon`` caps what it can meet: a complement below that floor
-        over ``tol`` is met to the floor, an absolute error.  The
-        squaring route ignores ``tol``: each of its base steps drops a
-        fixed 1e-15 of Poisson mass.
 
     Returns
     -------
     float
         Expected accumulated reward (reward units times time units).
     """
-    return float(ctmc.initial @ _occupancy(ctmc, reward, horizon, tol))
+    return float(ctmc.initial @ _occupancy(ctmc, reward, horizon))
 
 
-def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray, horizon: float,
-                              tol: float = 1e-10) -> np.ndarray:
+def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray,
+                              horizon: float) -> np.ndarray:
     """Expected accumulated reward over ``horizon`` from every start state.
 
     Equivalent to evaluating :func:`cumulative_occupancy` once per
     deterministic start, but computed in a single pass.  Model families
     that share one generator and differ only in the initial state (node
     pools of different depths, over-provisioning levels) read their whole
-    sweep off this vector.  ``tol`` bounds the implicit route's estimated
-    error of each start's complement ``max(reward) * horizon - occupancy``
-    relative to that complement, down to the absolute floor ``n * eps *
-    max(reward) * horizon``, as in :func:`cumulative_occupancy`; the
-    squaring route drops a fixed 1e-15 of Poisson mass per base step.
+    sweep off this vector.
     """
-    return _occupancy(ctmc, reward, horizon, tol)
+    return _occupancy(ctmc, reward, horizon)
 
 
-def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
-               tol: float) -> np.ndarray:
+def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
     """The one occupancy kernel: ``int_0^horizon exp(Q s) ds @ reward``."""
     r = _check_reward(ctmc, reward)
-    _check_time_and_tol(horizon, tol, allow_zero=False)
+    _check_time(horizon, allow_zero=False)
     q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
     if q == 0.0:
         return r * horizon
@@ -404,17 +388,15 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
     if _route(ctmc) == "squaring":
         occupancy = _propagator(ctmc, q, horizon, r)
     else:
-        occupancy = _implicit_occupancy(ctmc, r, horizon, tol, q * horizon)
+        occupancy = _implicit_occupancy(ctmc, r, horizon, _IMPLICIT_TOL, q * horizon)
     # Either route can land an ulp outside the reward range.
     return np.clip(occupancy, 0.0, r.max() * horizon)
 
 
-def _check_time_and_tol(t: float, tol: float, allow_zero: bool) -> None:
+def _check_time(t: float, allow_zero: bool) -> None:
     if not math.isfinite(t) or t < 0.0 or (t == 0.0 and not allow_zero):
         kind = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"time horizon must be finite and {kind}, got {t!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
 
 
 def _check_reward(ctmc: Ctmc, reward: np.ndarray) -> np.ndarray:

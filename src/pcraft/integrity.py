@@ -120,16 +120,12 @@ class IntegrityReport:
     horizon_s: float
 
 
-def integrity_breakdown(model: Ctmc, horizon_s: float,
-                        tol: float = 1e-10) -> IntegrityReport:
-    if not math.isfinite(horizon_s) or horizon_s <= 0:
-        raise ValueError(f"horizon must be positive and finite, got {horizon_s!r}")
+def integrity_breakdown(model: Ctmc, horizon_s: float) -> IntegrityReport:
     corrupt_frac = cumulative_occupancy(
-        model, indicator_reward(model, lambda s: s == "Corrupt"),
-        horizon_s, tol) / horizon_s
+        model, indicator_reward(model, lambda s: s == "Corrupt"), horizon_s) / horizon_s
     down_frac = cumulative_occupancy(
         model, indicator_reward(model, lambda s: s in ("Crash", "Retry")),
-        horizon_s, tol) / horizon_s
+        horizon_s) / horizon_s
     return IntegrityReport(
         correct=1.0 - corrupt_frac - down_frac,
         corrupt=corrupt_frac,

@@ -119,27 +119,18 @@ class PerfProfile:
     ratios: dict[str, float]
 
 
-def degradation_ratios(
-        nodt_by_app: Mapping[str, Mapping[str, float]] | Mapping[str, float],
-) -> PerfProfile:
+def degradation_ratios(nodt_by_app: Mapping[str, Mapping[str, float]]) -> PerfProfile:
     """Average per-variant throughput ratios versus native across apps.
 
-    Accepts either ``{app: {variant: nodt}}`` or a single flat
-    ``{variant: nodt}`` map.  Every app must report a native throughput
-    to normalize against.
+    Takes ``{app: {variant: nodt}}``.  Every app must report a native
+    throughput to normalize against.
     """
-    first = next(iter(nodt_by_app.values()), None)
-    if first is None:
+    if not nodt_by_app:
         raise ValueError("no applications given")
-    apps: Mapping[str, Mapping[str, float]]
-    if isinstance(first, Mapping):
-        apps = nodt_by_app  # type: ignore[assignment]
-    else:
-        apps = {"default": nodt_by_app}  # type: ignore[dict-item]
 
     ratio_samples: dict[str, list[float]] = {}
     nodt_samples: dict[str, list[float]] = {}
-    for app, table in apps.items():
+    for app, table in nodt_by_app.items():
         if "native" not in table:
             raise ValueError(f"application {app!r} has no native throughput to compare against")
         native = table["native"]

@@ -369,6 +369,18 @@ class TestIngest:
         assert (code, out) == (1, "")
         assert "application 'web': native throughput must be positive" in err
 
+    def test_repeated_label_is_a_configuration_error(self, tmp_path, capsys):
+        curves = []
+        for name, saturation in (("a", 200), ("b", 60)):
+            curve = tmp_path / f"{name}.csv"
+            curve.write_text("offered_rate,achieved_rate,latency_ms\n"
+                             f"{saturation},{saturation},1\n1000,{saturation},50\n",
+                             encoding="utf-8")
+            curves.append(f"web:native:{curve}")
+        code, out, err = run(["ingest", "--latency-threshold-ms", "5", *curves], capsys)
+        assert (code, out) == (2, "")
+        assert "web:native" in err
+
     def test_bad_label(self, capsys):
         code, _, err = run(["ingest", "only-a-path.csv",
                             "--latency-threshold-ms", "1"], capsys)

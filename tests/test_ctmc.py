@@ -140,6 +140,20 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown state"):
             build_ctmc([("a", "zzz", 1.0)], {"a": 1.0, "b": 0.0})
 
+    def test_unknown_source_state_rejected(self):
+        with pytest.raises(ValueError, match="unknown state 'zzz'"):
+            build_ctmc([("zzz", "a", 1.0)], {"a": 1.0, "b": 0.0})
+
+    def test_negative_initial_probability_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_ctmc([], {"a": 1.5, "b": -0.5})
+
+    def test_index_of_unknown_label_rejected(self):
+        chain = two_state(1.0, 2.0)
+        assert chain.index_of("down") == 1
+        with pytest.raises(ValueError, match="unknown state 'sideways'"):
+            chain.index_of("sideways")
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             build_ctmc([("a", "a", 1.0)], {"a": 1.0})
@@ -220,6 +234,10 @@ class TestTransient:
         chain = two_state(1.0, 2.0, start_up=0.7)
         assert np.array_equal(transient_distribution(chain, 0.0), chain.initial)
 
+    def test_chain_without_transitions_stays_put(self):
+        chain = build_ctmc([], {"a": 0.25, "b": 0.75})
+        assert np.array_equal(transient_distribution(chain, 5.0), chain.initial)
+
     def test_pure_death_one_year(self):
         chain = pure_death(1.0 / YEAR)
         pi = transient_distribution(chain, YEAR)
@@ -263,10 +281,6 @@ class TestTransient:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             transient_distribution(two_state(1.0, 1.0), -1.0)
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            transient_distribution(two_state(1.0, 1.0), 1.0, tol=0.0)
 
     def test_stiff_rates_stay_normalized(self):
         # Rates spanning microseconds to a year in one chain.
@@ -349,6 +363,12 @@ class TestCumulativeOccupancy:
         expected = 0.5 * horizon * float(np.dot(wts, vals))
         got = cumulative_occupancy(chain, reward, horizon)
         assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_chain_without_transitions_accrues_its_start_reward(self):
+        chain = build_ctmc([], {"a": 0.25, "b": 0.75})
+        reward = np.array([1.0, 0.5])
+        assert cumulative_occupancy(chain, reward, 8.0) == chain.initial @ reward * 8.0
+        assert np.array_equal(occupancy_from_each_start(chain, reward, 8.0), reward * 8.0)
 
     def test_bad_horizon_rejected(self):
         chain = two_state(1.0, 1.0)
@@ -558,8 +578,9 @@ class TestImplicitRoute:
         horizon = 2700 * HOUR
         reference = horizon - occupancy_from_each_start(
             model.ctmc, model.up_reward, horizon)
-        loose = horizon - occupancy_from_each_start(
-            model.ctmc, model.up_reward, horizon, tol)
+        q = 1.02 * float(model.ctmc.exit_rates.max())
+        loose = horizon - _implicit_occupancy(
+            model.ctmc, model.up_reward, horizon, tol, q * horizon)
         assert np.max(np.abs(loose - reference) / reference) <= tol
 
     @pytest.mark.parametrize("horizon", [1e4, 1e6])

@@ -195,6 +195,31 @@ def test_traced_ctmc_names_stay_module_functions():
         assert getattr(pcraft.ctmc, name).__module__ == "pcraft.ctmc"
 
 
+def test_availability_builds_chains_only_through_explore():
+    # Every cluster chain comes from one reachability builder.
+    tree = parse(PACKAGE / "availability.py")
+    explore = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name == "_explore"
+               for node in ast.walk(func)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "build_ctmc"]
+    outside = [f"availability.py:{node.lineno}" for node in uses if id(node) not in explore]
+    assert uses and not outside, f"build_ctmc used outside _explore: {outside}"
+
+
+def test_no_public_function_takes_a_tolerance():
+    # The solvers' accuracy is fixed; an option that some routes ignore
+    # would not do what its docstring says.
+    import inspect
+
+    import pcraft
+
+    offenders = [name for name in pcraft.__all__
+                 if inspect.isfunction(getattr(pcraft, name))
+                 and "tol" in inspect.signature(getattr(pcraft, name)).parameters]
+    assert not offenders, f"public functions taking tol: {', '.join(offenders)}"
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"__init__", "cli", "config", "planner",
                                          "suites", "variants"}

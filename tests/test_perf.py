@@ -134,10 +134,6 @@ class TestDegradation:
         profile = degradation_ratios(self.fixture_nodt())
         assert profile.nodt["native"] == pytest.approx((200000 + 886000) / 2)
 
-    def test_flat_map_input(self):
-        profile = degradation_ratios({"native": 100.0, "ft_tx": 70.0})
-        assert profile.ratios == {"native": 1.0, "ft_tx": 0.7}
-
     def test_missing_native_is_an_error(self):
         with pytest.raises(ValueError, match="native"):
             degradation_ratios({"app": {"ft_tx": 70.0}})

@@ -107,6 +107,11 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             request(**kwargs)
 
+    @pytest.mark.parametrize("horizon_s", [0.0, math.nan])
+    def test_rejects_bad_horizon(self, horizon_s):
+        with pytest.raises(ValueError, match="horizon_s must be positive"):
+            replace(request(), horizon_s=horizon_s)
+
 
 class TestCloudAra:
     def test_slow_failures_need_no_extras(self):
