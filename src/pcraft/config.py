@@ -106,19 +106,20 @@ class ScenarioConfig:
 
     def transient_split(self, variant: str | None = None) -> TransientSplit:
         variant = variant or self.node_variant
-        base = NODE_VARIANTS[variant].split if variant in NODE_VARIANTS else None
         overrides = (self.corrupt_pct, self.crash_pct, self.retry_pct)
-        if base is None and any(v is None for v in overrides):
+        if variant not in NODE_VARIANTS and None in overrides:
             raise ConfigError(
                 "configuration key 'node_variant' must name a known variant, "
                 "or corrupt_pct/crash_pct/retry_pct must all be set")
-        if base is None:
-            base = TransientSplit(0.0, 0.0, 0.0)
-        return TransientSplit(
-            corrupt=base.corrupt if self.corrupt_pct is None else self.corrupt_pct / 100.0,
-            crash=base.crash if self.crash_pct is None else self.crash_pct / 100.0,
-            retried=base.retried if self.retry_pct is None else self.retry_pct / 100.0,
-        )
+        split = NODE_VARIANTS[variant].split if variant in NODE_VARIANTS else TransientSplit(0.0, 0.0)
+        fractions = [table if pct is None else pct / 100.0
+                     for table, pct in zip((split.corrupt, split.crash, split.retried), overrides)]
+        try:
+            return TransientSplit(*fractions)
+        except ValueError as err:   # only an override can break the shipped table
+            raise ConfigError(
+                f"configuration keys corrupt_pct/crash_pct/retry_pct: {err}, got "
+                "corrupt {:g}, crash {:g}, retried {:g}".format(*fractions)) from None
 
     def integrity_rates(self, variant: str | None = None) -> IntegrityRates:
         self.require("transient_rate_per_month")

@@ -131,19 +131,23 @@ class NotErgodicError(ValueError):
 class Ctmc:
     """Immutable CTMC: labelled states, off-diagonal rates, initial distribution.
 
+    The constructor checks every chain, however it was made: a bad triplet
+    is named by its state labels, the first in input order.
+
     Attributes
     ----------
     states : tuple
-        State labels; all arrays in this module are aligned with this order.
+        Distinct state labels; all arrays in this module follow this order.
     rows, cols, rates : numpy.ndarray
         The off-diagonal rates ``Q[rows[k], cols[k]] = rates[k]``, each
         positive and finite between two distinct states.  The constructor
         sorts them by ``(row, col)`` and sums duplicate pairs.
     initial : numpy.ndarray
-        Probability distribution over ``states`` at time zero.
+        Probability distribution over ``states`` at time zero, summing to
+        one within 1e-9; the constructor keeps a normalised copy.
     exit_rates : numpy.ndarray
         Total rate out of each state, the negated diagonal of ``Q``;
-        derived by the constructor.
+        derived by the constructor, and finite.
     """
 
     states: tuple
@@ -154,30 +158,53 @@ class Ctmc:
     exit_rates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.states)
+        states, n = self.states, len(self.states)
+        if not n:
+            raise ValueError("empty state set: a chain needs at least one state")
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != n:
+            repeated = next(s for i, s in enumerate(states) if index[s] != i)
+            raise ValueError(f"state label {repeated!r} appears more than once")
+        initial = np.array(self.initial, dtype=float)
+        if initial.shape != (n,) or not (initial.min() >= 0.0 and initial.max() < np.inf):
+            raise ValueError(f"initial probabilities must be one finite, nonnegative "
+                             f"entry per state ({n})")
+        total = initial.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"initial probabilities sum to {float(total)!r}, expected 1")
+        initial /= total
         rows = np.asarray(self.rows, dtype=np.intp).ravel()
         cols = np.asarray(self.cols, dtype=np.intp).ravel()
         rates = np.asarray(self.rates, dtype=float).ravel()
-        if not rows.size == cols.size == rates.size:
-            raise ValueError("rows, cols and rates must have one entry per rate")
-        if rates.size and not (
-                np.all((rates > 0.0) & (rates < np.inf)) and rows.min() >= 0
-                and cols.min() >= 0 and max(rows.max(), cols.max()) < n
-                and np.all(rows != cols)):
-            raise ValueError(f"rates must be positive and finite, between two "
-                             f"distinct states of 0..{n - 1}")
+        if not rows.size == cols.size == rates.size or (rates.size and not (
+                min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < n)):
+            raise ValueError(f"rows, cols and rates must have one entry per rate, "
+                             f"each index in 0..{n - 1}")
+        bad = (rows == cols) | ~((rates > 0.0) & (rates < np.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            src, dst = states[rows[k]], states[cols[k]]
+            if rows[k] == cols[k]:
+                raise ValueError(f"self-loop transition rate on state {src!r} is not allowed")
+            raise ValueError(f"transition rate for {src!r} -> {dst!r} must be positive "
+                             f"and finite, got {float(rates[k])!r}")
         order = np.lexsort((cols, rows))
         rows, cols, rates = rows[order], cols[order], rates[order]
         first = np.ones(rates.size, dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         if not first.all():
             starts = np.flatnonzero(first)
-            rows, cols, rates = rows[starts], cols[starts], np.add.reduceat(rates, starts)
+            with np.errstate(over="ignore"):    # an overflowing sum is refused below
+                rows, cols, rates = rows[starts], cols[starts], np.add.reduceat(rates, starts)
+        exit_rates = np.bincount(rows, rates, minlength=n)
+        if exit_rates.max() == np.inf:
+            label = states[int(np.argmax(exit_rates))]
+            raise ValueError(f"the rates out of state {label!r} sum past the largest float")
         for name, value in (("rows", rows), ("cols", cols), ("rates", rates),
-                            ("exit_rates", np.bincount(rows, rates, minlength=n))):
+                            ("initial", initial), ("exit_rates", exit_rates)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -207,57 +234,20 @@ class Ctmc:
 
 def build_ctmc(transitions: Iterable[Transition],
                initial: Mapping[StateLabel, float]) -> Ctmc:
-    """Assemble a CTMC from labelled transitions and an initial distribution.
+    """Assemble a CTMC from ``(source, target, rate)`` transitions and a mapping
+    from state label to time-zero probability, whose insertion order fixes
+    the state indexing.  Duplicate (source, target) pairs are summed.
 
-    Parameters
-    ----------
-    transitions : iterable of (source, target, rate)
-        Rates must be positive and finite; duplicate (source, target)
-        pairs are summed.  Self loops are rejected: they are meaningless
-        for a generator.
-    initial : mapping from state label to probability
-        Defines the state set (insertion order fixes the state indexing)
-        and the time-zero distribution; must sum to one.
-
-    Returns
-    -------
-    Ctmc
+    This only translates labels to indices; :class:`Ctmc` checks the chain.
     """
-    items = list(initial.items())
-    if not items:
-        raise ValueError("empty state set: initial distribution defines no states")
-    states = tuple(label for label, _ in items)
-    probs = np.array([float(p) for _, p in items], dtype=float)
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-        raise ValueError("initial probabilities must be finite and nonnegative")
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"initial probabilities sum to {total!r}, expected 1")
-    probs /= total
-
+    states = tuple(initial)
     index = {label: i for i, label in enumerate(states)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for src, dst, rate in transitions:
-        if src not in index:
-            raise ValueError(f"transition references unknown state {src!r}")
-        if dst not in index:
-            raise ValueError(f"transition references unknown state {dst!r}")
-        if src == dst:
-            raise ValueError(f"self-loop transition on state {src!r} is not allowed")
-        r = float(rate)
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValueError(
-                f"transition rate for {src!r} -> {dst!r} must be positive "
-                f"and finite, got {rate!r}")
-        rows.append(index[src])
-        cols.append(index[dst])
-        vals.append(r)
-
-    probs.setflags(write=False)
-    return Ctmc(states, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                np.array(vals), probs)
+    try:
+        triplets = [(index[src], index[dst], rate) for src, dst, rate in transitions]
+    except KeyError as err:
+        raise ValueError(f"transition references unknown state {err.args[0]!r}") from None
+    rows, cols, rates = zip(*triplets) if triplets else ((), (), ())
+    return Ctmc(states, rows, cols, rates, list(initial.values()))
 
 
 def indicator_reward(ctmc: Ctmc, predicate: Callable[[StateLabel], bool]) -> np.ndarray:
@@ -329,8 +319,7 @@ def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
     numpy.ndarray
         Distribution aligned with ``ctmc.states``; sums to one.
     """
-    _check_time(t, allow_zero=True)
-    q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
+    q = _uniformization_rate(ctmc, t, allow_zero=True)
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
     _check_dense_fits(ctmc.n)
@@ -380,8 +369,7 @@ def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray,
 def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
     """The one occupancy kernel: ``int_0^horizon exp(Q s) ds @ reward``."""
     r = _check_reward(ctmc, reward)
-    _check_time(horizon, allow_zero=False)
-    q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max()) if ctmc.n else 0.0
+    q = _uniformization_rate(ctmc, horizon, allow_zero=False)
     if q == 0.0:
         return r * horizon
     _check_dense_fits(ctmc.n)
@@ -399,10 +387,21 @@ def _check_time(t: float, allow_zero: bool) -> None:
         raise ValueError(f"time horizon must be finite and {kind}, got {t!r}")
 
 
+def _uniformization_rate(ctmc: Ctmc, t: float, allow_zero: bool) -> float:
+    """``q`` of a solve over ``t``, after checking ``t`` and that ``q*t`` does not overflow."""
+    _check_time(t, allow_zero)
+    q = _UNIFORMIZATION_SLACK * float(ctmc.exit_rates.max())
+    if q * t == math.inf:   # t = 0 gives nan here, and needs no q
+        raise ValueError(f"time horizon {t!r} is too long for rates up to {q:.3g}: "
+                         "q*t overflows")
+    return q
+
+
 def _check_reward(ctmc: Ctmc, reward: np.ndarray) -> np.ndarray:
     r = np.asarray(reward, dtype=float)
     if r.shape != (ctmc.n,):
-        raise ValueError(f"reward vector must have length {ctmc.n}, got shape {r.shape}")
+        raise ValueError(f"reward must have one entry per state ({ctmc.n}), "
+                         f"got shape {r.shape}")
     if not np.all(np.isfinite(r)) or np.any(r < 0):
         raise ValueError("reward entries must be finite and nonnegative")
     return r

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import Ctmc, _physical_memory, indicator_reward
+from .ctmc import Ctmc, _check_reward, _check_time, _physical_memory, indicator_reward
 
 __all__ = ["SimEstimate", "simulate_ctmc"]
 
@@ -64,7 +64,9 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
                   seed: int = 0) -> SimEstimate:
     """Estimate the time-averaged reward over ``[0, horizon_s]``.
 
-    ``reward`` is a per-state vector or a predicate over state labels.
+    ``reward`` is a per-state vector or a predicate over state labels;
+    like ``horizon_s``, it is checked by the analytic solvers' own rules,
+    so a vector needs one finite, nonnegative entry per state.
     The mean is taken over ``replications`` independent trajectories,
     each started from the chain's initial distribution.  ``seed`` is a
     non-negative integer; a call whose batched arrays would exceed
@@ -72,12 +74,8 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
     """
     if callable(reward):
         reward = indicator_reward(ctmc, reward)
-    reward = np.asarray(reward, dtype=float)
-    if reward.shape != (ctmc.n,):
-        raise ValueError(f"reward must have one entry per state ({ctmc.n}), "
-                         f"got shape {reward.shape}")
-    if not math.isfinite(horizon_s) or horizon_s <= 0:
-        raise ValueError(f"horizon must be positive and finite, got {horizon_s!r}")
+    reward = _check_reward(ctmc, reward)
+    _check_time(horizon_s, allow_zero=False)
     if not _is_integer(replications):
         raise ValueError(f"replications must be an integer, got {replications!r}")
     if replications < 2:

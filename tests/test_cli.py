@@ -310,6 +310,23 @@ class TestIntegrity:
         model = build_integrity_model(scenario.integrity_rates("native"))
         assert float(native[4]) == integrity_breakdown(model, YEAR).corrupt
 
+    @pytest.mark.parametrize("lines", [
+        "corrupt_pct = 60\ncrash_pct = 60", "node_variant = native\ncrash_pct = 95"],
+        ids=["both-overrides", "override-and-table"])
+    def test_outcome_percentages_past_100_are_a_configuration_error(
+            self, tmp_path, capsys, lines):
+        cfg = write_cfg(tmp_path, f"deployment = cloud\ntransient_rate_per_month = 1\n{lines}\n")
+        code, out, err = run(["integrity", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert "crash_pct" in err and "sum to at most 1" in err
+
+    def test_overflowing_q_times_horizon_names_the_horizon(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "deployment = cloud\ntransient_rate_per_month = 1e308\n")
+        code, out, err = run(["integrity", "--config", cfg], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("pcraft: time horizon 31557600.0 is too long")
+        assert "q*t overflows" in err
+
     def test_requires_transient_rate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "deployment = cloud\n")
         code, _, err = run(["integrity", "--config", cfg], capsys)

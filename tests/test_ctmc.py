@@ -124,6 +124,34 @@ class TestBuild:
         with pytest.raises(ValueError, match="rate"):
             Ctmc(("a", "b"), rows, cols, rates, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("states, rows, cols, rates, initial, match", [
+        (("a", "b"), [0], [1], [1.0], [1.0], r"entry per state \(2\)"),
+        (("a", "b"), [0], [1], [1.0], [1.5, -0.5], "nonnegative"),
+        (("a", "b"), [0], [1], [1.0], [math.nan, 1.0], "finite"),
+        (("a", "b"), [0], [1], [1.0], [0.7, 0.7], "sum to 1.4"),
+        (("a", "b", "a"), [0], [1], [1.0], [1.0, 0.0, 0.0], "'a' appears more than once"),
+        (("a", "b", "c"), [0, 0], [1, 2], [1e308, 1e308], [1.0, 0.0, 0.0],
+         "rates out of state 'a'"),
+        (("a", "b"), [0, 0], [1, 1], [1e308, 1e308], [1.0, 0.0], "rates out of state 'a'"),
+        (("a", "b", "c"), [2, 0], [0, 1], [-1.0, 0.0], [1.0, 0.0, 0.0],
+         r"rate for 'c' -> 'a' must be positive and finite, got -1\.0"),
+        (("a", "b"), [1, 0], [1, 0], [1.0, 1.0], [1.0, 0.0], "self-loop.*rate.*'b'"),
+    ], ids=["initial-length", "initial-negative", "initial-nan", "initial-sum",
+            "repeated-label", "exit-rate-overflow", "summed-rate-overflow",
+            "first-bad-rate-in-input-order", "first-self-loop-in-input-order"])
+    def test_constructor_checks_the_whole_chain(self, states, rows, cols, rates, initial,
+                                                match):
+        with pytest.raises(ValueError, match=match):
+            Ctmc(states, rows, cols, rates, np.array(initial))
+
+    def test_constructor_copies_and_freezes_initial(self):
+        initial = np.array([0.25, 0.75])
+        chain = Ctmc(("a", "b"), [0], [1], [1.0], initial)
+        initial[0] = 0.5
+        assert chain.initial.tolist() == [0.25, 0.75]
+        assert not chain.initial.flags.writeable
+        assert initial.flags.writeable
+
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(7)
         chain = random_generator_chain(rng, 17)
@@ -460,7 +488,7 @@ class TestOccupancyKernel:
             reward = rng.uniform(0.0, 1.0, size=n)
             for horizon in (3.0, 1e3):
                 assert cumulative_occupancy(chain, reward, horizon) == float(
-                    initial @ occupancy_from_each_start(chain, reward, horizon))
+                    chain.initial @ occupancy_from_each_start(chain, reward, horizon))
 
     # Downtime shares 1 - occupancy/T of the repeated-squaring engine that
     # used a dense occupancy matrix and switched routes at q*t = 4096.

@@ -126,6 +126,40 @@ def test_physical_memory_is_read_in_one_place():
     assert inside and not outside, f"os.sysconf read outside _physical_memory: {outside}"
 
 
+def test_chains_are_checked_in_one_place():
+    # Ctmc's constructor checks every chain, however it was built; the
+    # label translation in build_ctmc repeats none of its checks.
+    phrases = ("initial probabilities", "self-loop", "transition rate")
+    tree = parse(PACKAGE / "ctmc.py")
+    checker = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "Ctmc"
+               for func in cls.body
+               if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+               for node in ast.walk(func)}
+    inside, outside = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for phrase in phrases:
+                if phrase in node.value:
+                    if id(node) in checker:
+                        inside.add(phrase)
+                    else:
+                        outside.append(f"ctmc.py:{node.lineno} {phrase!r}")
+    assert inside == set(phrases) and not outside, f"chain checks outside Ctmc: {outside}"
+
+
+def test_simulator_shares_the_kernels_input_checks():
+    # The simulator cross-checks the solvers, so it accepts exactly the
+    # rewards and horizons they accept.
+    tree = parse(PACKAGE / "simulate.py")
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    own = [f"simulate.py:{node.lineno}" for node in ast.walk(tree)
+           if (isinstance(node, ast.Attribute) and node.attr == "isfinite")
+           or (isinstance(node, ast.Name) and node.id == "isfinite")]
+    assert {"_check_reward", "_check_time"} <= called and not own, own
+
+
 def test_planner_imports_no_scipy():
     # Its first-cap bounds need math alone; scipy.stats would add to the
     # start-up of every command that plans.

@@ -116,6 +116,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="one entry per state"):
             simulate_ctmc(two_state(), np.ones(3), YEAR, replications=8)
 
+    @pytest.mark.parametrize("reward", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -0.5]])
+    def test_rejects_rewards_the_solvers_refuse(self, reward):
+        # A NaN reward would otherwise come back as mean=nan.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_ctmc(two_state(), np.array(reward), YEAR, replications=8)
+
     def test_rejects_single_replication(self):
         with pytest.raises(ValueError, match="at least 2 replications"):
             simulate_ctmc(two_state(), up_reward, YEAR, replications=1)
