@@ -26,12 +26,10 @@ from .availability import (
 )
 from .ctmc import (
     Ctmc,
-    NotErgodicError,
     build_ctmc,
     cumulative_occupancy,
     indicator_reward,
     occupancy_from_each_start,
-    steady_state,
     transient_distribution,
 )
 from .integrity import (
@@ -75,7 +73,6 @@ __all__ = [
     "Ctmc",
     "IntegrityRates",
     "IntegrityReport",
-    "NotErgodicError",
     "PerfCurve",
     "PerfProfile",
     "PerfRow",
@@ -101,6 +98,5 @@ __all__ = [
     "required_base_nodes",
     "saturation_throughput",
     "simulate_ctmc",
-    "steady_state",
     "transient_distribution",
 ]

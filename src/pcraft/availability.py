@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ctmc import Ctmc, build_ctmc, cumulative_occupancy
+from .ctmc import Ctmc, _is_integer, build_ctmc, cumulative_occupancy
 from .units import YEAR
 
 __all__ = [
@@ -78,6 +78,9 @@ class ClusterSpec:
         if self.deployment not in (CLOUD, ON_PREMISES):
             raise ValueError(
                 f"deployment must be {CLOUD!r} or {ON_PREMISES!r}, got {self.deployment!r}")
+        for name in ("num", "op", "pool"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.num < 1:
             raise ValueError(f"num must be at least 1, got {self.num}")
         if self.op < 0 or self.pool < 0:

@@ -1,13 +1,9 @@
 """Continuous-time Markov chain engine.
 
 A chain is a set of hashable state labels, its off-diagonal rates as
-numpy triplets, and an initial distribution.  Three solvers cover the
+numpy triplets, and an initial distribution.  Two solvers cover the
 analyses the rest of the package needs:
 
-* ``steady_state``: stationary distribution of an ergodic chain via
-  Grassmann-Taksar-Heyman elimination (no subtractions, so no
-  cancellation), guarded by a strong-connectivity check and a residual
-  test.
 * ``transient_distribution``: state distribution at time ``t``.
 * ``cumulative_occupancy`` and ``occupancy_from_each_start``: expected
   reward-weighted occupancy time over a finite horizon
@@ -66,15 +62,16 @@ took 2.09, 1.92, 1.81, 1.90, 1.90 and 2.01 s with the switch at 64, 96,
 x86_64), so squaring keeps chains of up to 128 states.
 
 Building a chain and the squaring route use numpy alone.  ``scipy`` is
-imported on first use by the three things that need it: the implicit
-route's sparse LU factors, ``steady_state``'s connectivity check and
-the ``Ctmc.generator`` CSR view.  Importing it costs more than most
-commands spend solving their small chains.
+imported on first use by the two things that need it: the implicit
+route's sparse LU factors and the ``Ctmc.generator`` CSR view.
+Importing it costs more than most commands spend solving their small
+chains.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,12 +81,10 @@ import numpy as np
 
 __all__ = [
     "Ctmc",
-    "NotErgodicError",
     "build_ctmc",
     "cumulative_occupancy",
     "indicator_reward",
     "occupancy_from_each_start",
-    "steady_state",
     "transient_distribution",
 ]
 
@@ -102,7 +97,6 @@ _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _SQUARING_MAX_N = 128           # larger chains take the implicit route
 _IMPLICIT_TOL = 1e-10           # implicit route's relative error bound
-_RESIDUAL_TOL = 1e-12           # steady_state's residual over max exit rate
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
 
 # Radau IIA (three stages, order 5) on a linear system z' = A z advances
@@ -121,10 +115,6 @@ _RADAU_ERROR_DIVISOR = 31.0     # 2**5 - 1: Richardson estimate for order 5
 _IMPLICIT_FIRST_STEPS = 16
 _IMPLICIT_STEP_SAFETY = 1.2     # next pair sized for an estimate 1.2**5 below tol
 _IMPLICIT_MAX_STEPS = 4096
-
-
-class NotErgodicError(ValueError):
-    """Raised when a stationary distribution is requested for a reducible chain."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,56 +245,6 @@ def indicator_reward(ctmc: Ctmc, predicate: Callable[[StateLabel], bool]) -> np.
     return np.array([1.0 if predicate(s) else 0.0 for s in ctmc.states])
 
 
-def steady_state(ctmc: Ctmc) -> np.ndarray:
-    """Stationary distribution of an ergodic chain.
-
-    Ergodicity is established first by a strong-connectivity check on the
-    positive-rate graph; reducible chains (absorbing states, unreachable
-    states) raise :class:`NotErgodicError`.  The solve itself is GTH
-    elimination, and the result is rejected unless the scaled residual
-    ``max|pi Q| / max_exit_rate`` is at most ``_RESIDUAL_TOL``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Distribution aligned with ``ctmc.states``.
-    """
-    n = ctmc.n
-    if n == 1:
-        return np.array([1.0])
-
-    from scipy.sparse.csgraph import connected_components
-
-    # The diagonal adds only self loops, which leave the components alone.
-    ncomp, _ = connected_components(ctmc.generator, directed=True, connection="strong")
-    if ncomp != 1:
-        raise NotErgodicError(
-            "chain is not ergodic (state graph is reducible); the stationary "
-            "distribution is undefined, use transient analysis instead")
-
-    # GTH elimination on the dense generator: uses off-diagonal rates only.
-    a = _dense_generator(ctmc)
-    for k in range(n - 1):
-        scale = np.sum(a[k, k + 1:n])
-        if scale <= 0.0:
-            raise NotErgodicError(
-                "chain is not ergodic (no transitions leave a state block)")
-        a[k + 1:n, k] /= scale
-        a[k + 1:n, k + 1:n] += np.outer(a[k + 1:n, k], a[k, k + 1:n])
-    pi = np.zeros(n)
-    pi[n - 1] = 1.0
-    for k in range(n - 2, -1, -1):
-        pi[k] = np.dot(pi[k + 1:n], a[k + 1:n, k])
-    pi /= pi.sum()
-
-    q_max = float(ctmc.exit_rates.max())
-    residual = float(np.abs(pi @ ctmc.generator).max())
-    if residual > _RESIDUAL_TOL * max(q_max, np.finfo(float).tiny):
-        raise ArithmeticError(
-            f"stationary solve residual {residual:.3e} exceeds tolerance")
-    return pi
-
-
 def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
     """State distribution at time ``t`` starting from ``ctmc.initial``.
 
@@ -387,6 +327,11 @@ def _check_time(t: float, allow_zero: bool) -> None:
         raise ValueError(f"time horizon must be finite and {kind}, got {t!r}")
 
 
+def _is_integer(value) -> bool:
+    """True for an integral number that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _uniformization_rate(ctmc: Ctmc, t: float, allow_zero: bool) -> float:
     """``q`` of a solve over ``t``, after checking ``t`` and that ``q*t`` does not overflow."""
     _check_time(t, allow_zero)
@@ -434,14 +379,6 @@ def _base_step_terms(qt: float) -> tuple[np.ndarray, np.ndarray]:
     tails = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)
     last = int(np.argmax(tails <= _BASE_STEP_TOL))
     return w[:last + 1], tails[:last + 1]
-
-
-def _dense_generator(ctmc: Ctmc) -> np.ndarray:
-    """``Q`` as a dense n x n array, from the chain's triplets."""
-    q_mat = np.zeros((ctmc.n, ctmc.n))
-    q_mat[ctmc.rows, ctmc.cols] = ctmc.rates
-    np.fill_diagonal(q_mat, -ctmc.exit_rates)
-    return q_mat
 
 
 def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
@@ -546,7 +483,10 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
 
     w, tails = _base_step_terms(q * dt)
     right = len(w) - 1
-    p_step = np.eye(n) + _dense_generator(ctmc) / q
+    q_mat = np.zeros((n, n))
+    q_mat[ctmc.rows, ctmc.cols] = ctmc.rates
+    np.fill_diagonal(q_mat, -ctmc.exit_rates)
+    p_step = np.eye(n) + q_mat / q
 
     # M(dt) sums P^k weighted by the Poisson pmf, c(dt) sums P^k [r, 1]
     # weighted by the Poisson tails.

@@ -56,7 +56,7 @@ from .availability import (
     build_availability_model,
     nines,
 )
-from .ctmc import occupancy_from_each_start
+from .ctmc import _is_integer, occupancy_from_each_start
 from .variants import NODE_VARIANTS, throughput_ratio
 
 __all__ = [
@@ -107,6 +107,8 @@ class PlanRequest:
             raise ValueError(f"target_nines must be positive, got {self.target_nines!r}")
         if not math.isfinite(self.horizon_s) or self.horizon_s <= 0:
             raise ValueError(f"horizon_s must be positive, got {self.horizon_s!r}")
+        if not _is_integer(self.search_cap):
+            raise ValueError(f"search_cap must be an integer, got {self.search_cap!r}")
         if self.search_cap < 0:
             raise ValueError(f"search_cap must be nonnegative, got {self.search_cap}")
 

@@ -13,12 +13,12 @@ seed with another replication count gives a different stream.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import Ctmc, _check_reward, _check_time, _physical_memory, indicator_reward
+from .ctmc import (Ctmc, _check_reward, _check_time, _is_integer, _physical_memory,
+                   indicator_reward)
 
 __all__ = ["SimEstimate", "simulate_ctmc"]
 
@@ -123,10 +123,6 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
     half = _Z99 * float(np.std(averages, ddof=1)) / math.sqrt(replications)
     return SimEstimate(mean=mean, ci_half_width=half, replications=replications,
                        seed=seed, events=events)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]:

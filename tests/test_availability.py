@@ -52,6 +52,17 @@ class TestClusterSpec:
         with pytest.raises(ValueError, match="nonnegative"):
             ClusterSpec(ARA, CLOUD, num=1, op=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num", 2.5), ("num", 3.0), ("num", True), ("op", 1.5), ("op", True), ("pool", 0.5),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        # A fractional count would build states with fractional, even
+        # negative, node counts; a bool is not a node count either.
+        counts = {"num": 2, field: value}
+        technique = PF if field == "pool" else ARA
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ClusterSpec(technique, ON_PREMISES, **counts)
+
     def test_pf_has_no_overprovisioning(self):
         with pytest.raises(ValueError, match="over-provisioned"):
             ClusterSpec(PF, CLOUD, num=1, op=1)

@@ -1,4 +1,4 @@
-"""Core chain engine: construction, stationary, transient, occupancy."""
+"""Core chain engine: construction, transient, occupancy."""
 
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from pcraft.ctmc import (
     _RADAU_REAL_POLE,
     _RADAU_REAL_RESIDUE,
     Ctmc,
-    NotErgodicError,
     _base_step_terms,
     _implicit_occupancy,
     _propagator,
@@ -35,11 +34,11 @@ from pcraft.ctmc import (
     cumulative_occupancy,
     indicator_reward,
     occupancy_from_each_start,
-    steady_state,
     transient_distribution,
 )
 from pcraft.units import HOUR, MONTH, YEAR
 from pcraft.variants import NODE_VARIANTS
+from reference import stationary_distribution
 
 # Closed-form oracle values, frozen.
 PI_UP_12PY_30MIN = 0.9993160054719562    # rho/(lam+rho), lam=12/yr, rho=1/1800s
@@ -78,7 +77,6 @@ class TestBuild:
         chain = build_ctmc([], {"only": 1.0})
         assert chain.n == 1
         assert chain.generator.nnz == 0
-        assert steady_state(chain)[0] == 1.0
 
     def test_duplicate_transitions_are_summed(self):
         a = build_ctmc([("u", "d", 1.0), ("u", "d", 2.0), ("d", "u", 1.0)],
@@ -199,35 +197,6 @@ class TestBuild:
         assert abs(chain.initial.sum() - 1.0) <= 1e-12
 
 
-class TestSteadyState:
-    def test_two_state_closed_form(self):
-        lam = 12.0 / YEAR
-        rho = 1.0 / 1800.0
-        pi = steady_state(two_state(lam, rho))
-        assert pi[0] == pytest.approx(PI_UP_12PY_30MIN, abs=1e-12)
-        assert pi[0] == pytest.approx(rho / (lam + rho), abs=1e-14)
-
-    def test_pure_death_not_ergodic(self):
-        with pytest.raises(NotErgodicError, match="not ergodic"):
-            steady_state(pure_death(1.0 / YEAR))
-
-    def test_unreachable_state_not_ergodic(self):
-        chain = build_ctmc([("a", "b", 1.0), ("b", "a", 1.0), ("c", "a", 1.0)],
-                           {"a": 1.0, "b": 0.0, "c": 0.0})
-        with pytest.raises(NotErgodicError):
-            steady_state(chain)
-
-    def test_random_chains_residual(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            chain = random_generator_chain(rng, int(rng.integers(2, 25)))
-            pi = steady_state(chain)
-            assert pi.min() >= 0.0
-            assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-            residual = np.abs(pi @ chain.generator).max()
-            assert residual <= 1e-12 * chain.exit_rates.max()
-
-
 class TestBaseStepTerms:
     @pytest.mark.parametrize("qt", [1e-12, 1e-3, 0.5, 4.0, 8.0])
     def test_matches_the_poisson_pmf_and_tails(self, qt):
@@ -304,7 +273,8 @@ class TestTransient:
         chain = two_state(lam, rho)
         t = 50.0 / min(lam, rho)
         pi_t = transient_distribution(chain, t)
-        assert np.max(np.abs(pi_t - steady_state(chain))) <= 1e-8
+        stationary = np.array([rho, lam]) / (lam + rho)
+        assert np.max(np.abs(pi_t - stationary)) <= 1e-8
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -318,7 +288,7 @@ class TestTransient:
             {"ok": 1.0, "retry": 0.0, "down": 0.0})
         pi = transient_distribution(chain, YEAR)
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(pi - steady_state(chain))) <= 1e-9
+        assert np.max(np.abs(pi - stationary_distribution(chain))) <= 1e-9
 
 
 class TestCumulativeOccupancy:
@@ -368,7 +338,7 @@ class TestCumulativeOccupancy:
         horizon = 1000.0 / min(lam, rho)
         up = indicator_reward(chain, lambda s: s == "up")
         avg = cumulative_occupancy(chain, up, horizon) / horizon
-        pi = steady_state(chain)[0]
+        pi = rho / (lam + rho)
         envelope = (1.0 - pi) / ((lam + rho) * horizon)
         assert abs(avg - pi) <= envelope * 1.01 + 1e-9
 
@@ -377,7 +347,7 @@ class TestCumulativeOccupancy:
         horizon = 1000.0 / min(lam, rho)
         up = indicator_reward(chain, lambda s: s == "up")
         avg = cumulative_occupancy(chain, up, horizon) / horizon
-        assert avg == pytest.approx(steady_state(chain)[0], abs=1e-6)
+        assert avg == pytest.approx(rho / (lam + rho), abs=1e-6)
 
     def test_matches_quadrature_random_chain(self):
         rng = np.random.default_rng(77)

@@ -19,6 +19,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcraft"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
+# The benchmark's tracer rebinds these by name in every module that
+# imports them, so they stay public module functions of pcraft.ctmc.
+TRACED_CTMC_NAMES = ("build_ctmc", "cumulative_occupancy", "occupancy_from_each_start",
+                     "transient_distribution")
+
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -219,14 +224,24 @@ def test_small_chain_commands_load_no_scipy(tmp_path):
 
 
 def test_traced_ctmc_names_stay_module_functions():
-    # The benchmark's tracer rebinds these by name in every module that
-    # imports them.
     import pcraft.ctmc
 
-    for name in ("build_ctmc", "cumulative_occupancy", "occupancy_from_each_start",
-                 "transient_distribution"):
+    for name in TRACED_CTMC_NAMES:
         assert name in pcraft.ctmc.__all__
         assert getattr(pcraft.ctmc, name).__module__ == "pcraft.ctmc"
+
+
+def test_every_ctmc_export_has_a_caller():
+    # No exported helper that nothing uses: another module of the package
+    # imports it (a re-export from __init__ does not count), or the
+    # benchmark's tracer pins it.
+    imported = {alias.name for path in MODULES if path.stem not in ("__init__", "ctmc")
+                for node in ast.walk(parse(path))
+                if isinstance(node, ast.ImportFrom) and node.module in ("ctmc", "pcraft.ctmc")
+                for alias in node.names}
+    exported = set(exported_names(parse(PACKAGE / "ctmc.py")))
+    unused = sorted(exported - imported - set(TRACED_CTMC_NAMES))
+    assert not unused, f"pcraft.ctmc exports names nothing calls: {', '.join(unused)}"
 
 
 def test_availability_builds_chains_only_through_explore():

@@ -107,6 +107,11 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             request(**kwargs)
 
+    @pytest.mark.parametrize("search_cap", [40.5, 8.0, True])
+    def test_rejects_a_search_cap_that_is_not_an_integer(self, search_cap):
+        with pytest.raises(ValueError, match="search_cap must be an integer"):
+            request(search_cap=search_cap)
+
     @pytest.mark.parametrize("horizon_s", [0.0, math.nan])
     def test_rejects_bad_horizon(self, horizon_s):
         with pytest.raises(ValueError, match="horizon_s must be positive"):
