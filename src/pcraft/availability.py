@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ctmc import Ctmc, _is_integer, build_ctmc, cumulative_occupancy
+from .ctmc import Ctmc, _check_dense_fits, _check_number, build_ctmc, cumulative_occupancy
 from .units import YEAR
 
 __all__ = [
@@ -78,13 +78,8 @@ class ClusterSpec:
         if self.deployment not in (CLOUD, ON_PREMISES):
             raise ValueError(
                 f"deployment must be {CLOUD!r} or {ON_PREMISES!r}, got {self.deployment!r}")
-        for name in ("num", "op", "pool"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.num < 1:
-            raise ValueError(f"num must be at least 1, got {self.num}")
-        if self.op < 0 or self.pool < 0:
-            raise ValueError("op and pool must be nonnegative")
+        for name, least in (("num", 1), ("op", 0), ("pool", 0)):
+            _check_number(name, getattr(self, name), least, above=False, integer=True)
         if self.technique == PF and self.op:
             raise ValueError("PF clusters have no over-provisioned nodes; use pool")
         if self.technique == ARA and self.pool:
@@ -101,7 +96,7 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class AvailRates:
-    """Failure and recovery rates.
+    """Failure and recovery rates: positive, finite numbers, never bools.
 
     hw_crash_per_year is per node; the recovery and repair rates are per
     second, matching how operators quote them (crashes per year, seconds
@@ -113,13 +108,10 @@ class AvailRates:
     pool_repair_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("hw_crash_per_year", "crash_recovery_per_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.pool_repair_per_s is not None and (
-                not math.isfinite(self.pool_repair_per_s) or self.pool_repair_per_s <= 0):
-            raise ValueError("pool_repair_per_s must be positive and finite when given")
+        _check_number("hw_crash_per_year", self.hw_crash_per_year)
+        _check_number("crash_recovery_per_s", self.crash_recovery_per_s)
+        if self.pool_repair_per_s is not None:
+            _check_number("pool_repair_per_s", self.pool_repair_per_s)
 
     @property
     def hw_crash_per_s(self) -> float:
@@ -150,7 +142,7 @@ def nines(avail: float) -> float:
         raise ValueError(f"availability must lie in [0, 1], got {avail!r}")
     if avail >= 1.0:
         return MAX_NINES
-    return min(-math.log10(1.0 - avail), MAX_NINES)
+    return min(0.0 - math.log10(1.0 - avail), MAX_NINES)   # +0.0, never -0.0
 
 
 def build_pf_model(spec: ClusterSpec, rates: AvailRates,
@@ -210,6 +202,14 @@ def build_availability_model(spec: ClusterSpec, rates: AvailRates,
     return builder(spec, rates, parallel_recovery)
 
 
+def _model_to_solve(spec: ClusterSpec, rates: AvailRates,
+                    parallel_recovery: bool = True) -> AvailabilityModel:
+    """``build_availability_model`` for a chain that will be solved: one too large
+    for the solvers' memory guard is refused unbuilt (the simulator's are not)."""
+    _check_dense_fits(_chain_states(spec, rates))
+    return build_availability_model(spec, rates, parallel_recovery)
+
+
 def availability(model: AvailabilityModel, horizon_s: float) -> AvailabilityReport:
     """Interval availability over ``horizon_s`` seconds from the all-up start."""
     up_time = cumulative_occupancy(model.ctmc, model.up_reward, horizon_s)
@@ -220,6 +220,15 @@ def availability(model: AvailabilityModel, horizon_s: float) -> AvailabilityRepo
         downtime_hours=(1.0 - avail) * horizon_s / 3600.0,
         horizon_s=horizon_s,
     )
+
+
+def _chain_states(spec: ClusterSpec, rates: AvailRates) -> int:
+    """States of the chain built for ``spec``, known without building it."""
+    if spec.technique == ARA or spec.deployment == CLOUD:
+        return spec.num + spec.op + 1                       # live counts 0..num+op
+    if rates.pool_repair_per_s is None:
+        return (spec.num + 1) * (spec.pool + 1)             # up <= num, pool <= its start
+    return (spec.num + 1) * (spec.num + 2 * spec.pool + 2) // 2   # up <= num, up + pool <= total
 
 
 def _birth_death(spec: ClusterSpec, top: int, rates: AvailRates,

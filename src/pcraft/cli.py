@@ -23,7 +23,7 @@ import csv
 import functools
 import sys
 
-from .availability import ClusterSpec, availability, build_availability_model
+from .availability import ClusterSpec, _model_to_solve, availability, build_availability_model
 from .config import ConfigError, ScenarioConfig, load_config
 from .integrity import build_integrity_model, integrity_breakdown
 from .perf import degradation_ratios, parse_benchmark_csv, saturation_throughput
@@ -139,13 +139,12 @@ def _variants_for(config: ScenarioConfig) -> list[str]:
     return list(NODE_VARIANTS)
 
 
-def _cluster_model(config: ScenarioConfig, variant: str):
+def _cluster_model(config: ScenarioConfig, variant: str, build):
     config.require("technique", "deployment")
     base = config.base_nodes(variant)
     extra = config.extra_nodes
     spec = ClusterSpec.with_extra(config.technique, config.deployment, base, extra)
-    model = build_availability_model(spec, config.avail_rates(),
-                                     config.parallel_recovery)
+    model = build(spec, config.avail_rates(), config.parallel_recovery)
     return base, extra, model
 
 
@@ -187,7 +186,7 @@ def _cmd_ingest(args, config: ScenarioConfig):
 def _cmd_avail(args, config: ScenarioConfig):
     rows = []
     for variant in _variants_for(config):
-        base, extra, model = _cluster_model(config, variant)
+        base, extra, model = _cluster_model(config, variant, _model_to_solve)
         report = availability(model, config.horizon_s)
         rows.append([config.technique, config.deployment, variant, base,
                      extra, report.availability, report.nines,
@@ -229,7 +228,7 @@ def _cmd_simulate(args, config: ScenarioConfig):
     replications, seed = config.replications, config.seed
     rows = []
     for variant in _variants_for(config):
-        base, extra, model = _cluster_model(config, variant)
+        base, extra, model = _cluster_model(config, variant, build_availability_model)
         est = simulate_ctmc(model.ctmc, model.up_reward, config.horizon_s,
                             replications, seed)
         rows.append([config.technique, config.deployment, variant, base,

@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Tuple
@@ -98,6 +99,7 @@ _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _SQUARING_MAX_N = 128           # larger chains take the implicit route
 _IMPLICIT_TOL = 1e-10           # implicit route's relative error bound
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
+_FLOAT_MAX = sys.float_info.max            # a Python float: compares exactly with any int
 
 # Radau IIA (three stages, order 5) on a linear system z' = A z advances
 # a step of size h exactly as z <- R(hA) z, where R is the (2,3) Pade
@@ -321,15 +323,32 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
     return np.clip(occupancy, 0.0, r.max() * horizon)
 
 
+def _check_number(name: str, value, least: float = 0.0, *, above: bool = True,
+                  integer: bool = False, most: float = math.inf):
+    """The one rule for every public number: ``value`` if it is a real number,
+    not a bool, finite, integral when ``integer``, above ``least`` (at least it,
+    unless ``above``) and at most ``most``; otherwise a ``ValueError`` naming ``name``."""
+    # Builtins are tested before the far slower numbers ABCs.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        ok = False
+    elif integer:
+        ok = isinstance(value, (int, numbers.Integral))
+    else:   # refuses nan, +-inf and an int too large for a float
+        ok = -_FLOAT_MAX <= value <= _FLOAT_MAX
+    if ok and (value > least if above else value >= least) and value <= most:
+        return value
+    if most < math.inf:
+        bounds = f"in [{least:g}, {most:g}]"
+    elif least:
+        bounds = f"{'above' if above else 'at least'} {least:g}"
+    else:
+        bounds = "positive" if above else "nonnegative"
+    kind = f"an integer and {bounds}" if integer else f"{bounds} and finite"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _check_time(t: float, allow_zero: bool) -> None:
-    if not math.isfinite(t) or t < 0.0 or (t == 0.0 and not allow_zero):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ValueError(f"time horizon must be finite and {kind}, got {t!r}")
-
-
-def _is_integer(value) -> bool:
-    """True for an integral number that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    _check_number("time horizon", t, above=not allow_zero)
 
 
 def _uniformization_rate(ctmc: Ctmc, t: float, allow_zero: bool) -> float:
@@ -551,12 +570,12 @@ def _check_dense_fits(n: int) -> None:
     physical = _physical_memory()
     if physical is None:
         return
-    needed = _DENSE_ARRAYS * 8 * n * n
-    if needed > physical:
+    most = math.isqrt(physical // (_DENSE_ARRAYS * 8))   # exact for n of any size
+    if n > most:
         raise ValueError(
-            f"a {n}-state chain may need about {needed / 1e9:.0f} GB to solve, "
-            f"more than the {physical / 1e9:.0f} GB of physical memory; lower "
-            f"search_cap or extra_nodes")
+            f"a {n}-state chain is too large to solve: the {physical / 1e9:.1f} GB "
+            f"of physical memory hold the dense arrays of {most} states at most; "
+            f"lower search_cap, extra_nodes or sert_multiplier")
 
 
 def _physical_memory() -> int | None:

@@ -12,10 +12,9 @@ stay down, which the model expresses as an absorbing Crash state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .ctmc import Ctmc, build_ctmc, cumulative_occupancy, indicator_reward
+from .ctmc import Ctmc, _check_number, build_ctmc, cumulative_occupancy, indicator_reward
 from .variants import TransientSplit
 
 __all__ = [
@@ -59,16 +58,12 @@ def derive_integrity_rates(transient_rate_per_s: float, split: TransientSplit,
     of ``None`` marks a deployment with no way to bring a crashed node
     back (absorbing Crash).
     """
-    if not math.isfinite(transient_rate_per_s) or transient_rate_per_s <= 0:
-        raise ValueError(f"transient fault rate must be positive, got {transient_rate_per_s!r}")
-    for name, value in (("sdc_recovery_s", sdc_recovery_s), ("retry_s", retry_s)):
-        if not math.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if crash_recovery_s is not None and (
-            not math.isfinite(crash_recovery_s) or crash_recovery_s <= 0):
-        raise ValueError(f"crash_recovery_s must be positive when given, got {crash_recovery_s!r}")
-    if retry_crash_per_s < 0 or not math.isfinite(retry_crash_per_s):
-        raise ValueError(f"retry_crash_per_s must be nonnegative, got {retry_crash_per_s!r}")
+    _check_number("transient fault rate", transient_rate_per_s)
+    _check_number("sdc_recovery_s", sdc_recovery_s)
+    _check_number("retry_s", retry_s)
+    if crash_recovery_s is not None:
+        _check_number("crash_recovery_s", crash_recovery_s)
+    _check_number("retry_crash_per_s", retry_crash_per_s, above=False)
     return IntegrityRates(
         sdc_per_s=transient_rate_per_s * split.corrupt,
         crash_per_s=transient_rate_per_s * split.crash,

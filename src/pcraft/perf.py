@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
+from .ctmc import _check_number
+
 __all__ = [
     "PerfCurve",
     "PerfProfile",
@@ -100,9 +102,7 @@ def saturation_throughput(curve: PerfCurve, latency_threshold_ms: float) -> floa
     The latency threshold is an operator input with no default: what
     counts as saturated depends on the service's latency budget.
     """
-    if not math.isfinite(latency_threshold_ms) or latency_threshold_ms <= 0:
-        raise ValueError(
-            f"latency threshold must be positive and finite, got {latency_threshold_ms!r}")
+    _check_number("latency threshold", latency_threshold_ms)
     qualifying = [row.achieved_rate for row in curve.rows
                   if row.latency_ms <= latency_threshold_ms]
     if not qualifying:
@@ -133,14 +133,9 @@ def degradation_ratios(nodt_by_app: Mapping[str, Mapping[str, float]]) -> PerfPr
     for app, table in nodt_by_app.items():
         if "native" not in table:
             raise ValueError(f"application {app!r} has no native throughput to compare against")
-        native = table["native"]
-        if not math.isfinite(native) or native <= 0:
-            raise ValueError(f"application {app!r}: native throughput must be positive")
+        native = _check_number(f"application {app!r}: native throughput", table["native"])
         for variant, value in table.items():
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"application {app!r}, variant {variant!r}: "
-                    f"throughput must be positive, got {value!r}")
+            _check_number(f"application {app!r}, variant {variant!r}: throughput", value)
             ratio_samples.setdefault(variant, []).append(value / native)
             nodt_samples.setdefault(variant, []).append(value)
     nodt = {v: sum(xs) / len(xs) for v, xs in nodt_samples.items()}

@@ -52,11 +52,11 @@ from .availability import (
     PF,
     AvailRates,
     ClusterSpec,
+    _model_to_solve,
     availability,
-    build_availability_model,
     nines,
 )
-from .ctmc import _is_integer, occupancy_from_each_start
+from .ctmc import _check_number, occupancy_from_each_start
 from .variants import NODE_VARIANTS, throughput_ratio
 
 __all__ = [
@@ -76,16 +76,15 @@ _BOUND_TERMS = 4096
 
 def required_base_nodes(sert_multiplier: float, ratio: float) -> int:
     """Base nodes needed to serve ``sert_multiplier`` units of load."""
-    if not math.isfinite(sert_multiplier) or sert_multiplier <= 0:
-        raise ValueError(f"sert_multiplier must be positive, got {sert_multiplier!r}")
-    if not math.isfinite(ratio) or ratio <= 0:
-        raise ValueError(f"throughput ratio must be positive, got {ratio!r}")
-    return max(math.ceil(sert_multiplier / ratio - _CEIL_GUARD), 1)
+    load = _check_number("sert_multiplier", sert_multiplier)
+    return max(math.ceil(load / _check_number("throughput ratio", ratio) - _CEIL_GUARD), 1)
 
 
 @dataclass(frozen=True)
 class PlanRequest:
-    """One sizing question: cluster style, load, rates, and the target."""
+    """One sizing question: cluster style, load, rates, and the target.
+    ``target_nines`` and ``horizon_s`` are positive, finite numbers and
+    ``search_cap`` a nonnegative integer; bools are refused."""
 
     technique: str
     deployment: str
@@ -103,14 +102,9 @@ class PlanRequest:
             raise ValueError(
                 f"unknown node variant {self.node_variant!r}; "
                 f"known: {sorted(NODE_VARIANTS)} (or pass an explicit ratio)")
-        if not math.isfinite(self.target_nines) or self.target_nines <= 0:
-            raise ValueError(f"target_nines must be positive, got {self.target_nines!r}")
-        if not math.isfinite(self.horizon_s) or self.horizon_s <= 0:
-            raise ValueError(f"horizon_s must be positive, got {self.horizon_s!r}")
-        if not _is_integer(self.search_cap):
-            raise ValueError(f"search_cap must be an integer, got {self.search_cap!r}")
-        if self.search_cap < 0:
-            raise ValueError(f"search_cap must be nonnegative, got {self.search_cap}")
+        _check_number("target_nines", self.target_nines)
+        _check_number("horizon_s", self.horizon_s)
+        _check_number("search_cap", self.search_cap, above=False, integer=True)
 
     @property
     def effective_ratio(self) -> float:
@@ -228,8 +222,7 @@ class _PerExtraEvaluator:
             request = self._request
             spec = ClusterSpec.with_extra(request.technique, request.deployment,
                                           self._base, extra)
-            model = build_availability_model(spec, request.rates,
-                                             request.parallel_recovery)
+            model = _model_to_solve(spec, request.rates, request.parallel_recovery)
             report = availability(model, request.horizon_s)
             self._cache[extra] = report.availability
             self.evaluations += 1
@@ -245,7 +238,7 @@ def _family_availabilities(request: PlanRequest, base: int, cap: int) -> np.ndar
     fully-up state with ``e`` spares.
     """
     spec = ClusterSpec.with_extra(request.technique, request.deployment, base, cap)
-    model = build_availability_model(spec, request.rates, request.parallel_recovery)
+    model = _model_to_solve(spec, request.rates, request.parallel_recovery)
     occupancy = occupancy_from_each_start(model.ctmc, model.up_reward, request.horizon_s)
     starts = [model.ctmc.index_of(base + e if request.technique == ARA else (base, e))
               for e in range(cap + 1)]
@@ -335,7 +328,7 @@ def _binomial_tail(n: int, a: int, log_p: float, log_1mp: float) -> float:
 
 
 def _unbounded_pool_availability(request: PlanRequest, base: int) -> float:
-    model = build_availability_model(
+    model = _model_to_solve(
         ClusterSpec(PF, CLOUD, num=base), request.rates, request.parallel_recovery)
     return availability(model, request.horizon_s).availability
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import (Ctmc, _check_reward, _check_time, _is_integer, _physical_memory,
+from .ctmc import (Ctmc, _check_number, _check_reward, _check_time, _physical_memory,
                    indicator_reward)
 
 __all__ = ["SimEstimate", "simulate_ctmc"]
@@ -67,22 +67,17 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
     ``reward`` is a per-state vector or a predicate over state labels;
     like ``horizon_s``, it is checked by the analytic solvers' own rules,
     so a vector needs one finite, nonnegative entry per state.
-    The mean is taken over ``replications`` independent trajectories,
-    each started from the chain's initial distribution.  ``seed`` is a
-    non-negative integer; a call whose batched arrays would exceed
-    physical memory is refused with a ``ValueError``.
+    The mean is taken over ``replications`` (an integer, at least 2)
+    independent trajectories, each started from the chain's initial
+    distribution.  ``seed`` is a nonnegative integer; bools are refused,
+    and so is a call whose batched arrays would exceed physical memory.
     """
     if callable(reward):
         reward = indicator_reward(ctmc, reward)
     reward = _check_reward(ctmc, reward)
     _check_time(horizon_s, allow_zero=False)
-    if not _is_integer(replications):
-        raise ValueError(f"replications must be an integer, got {replications!r}")
-    if replications < 2:
-        raise ValueError(f"need at least 2 replications for a confidence "
-                         f"interval, got {replications}")
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_number("replications", replications, 2, above=False, integer=True)
+    _check_number("seed", seed, above=False, integer=True)
 
     successors, jump_cum = _jump_tables(ctmc, replications)
     exit_rates = ctmc.exit_rates

@@ -20,8 +20,8 @@ from .availability import (
     PF,
     AvailabilityReport,
     ClusterSpec,
+    _model_to_solve,
     availability,
-    build_availability_model,
 )
 from .config import ScenarioConfig
 from .integrity import build_integrity_model, integrity_breakdown
@@ -92,8 +92,8 @@ def _onprem_pf_pool(config: ScenarioConfig) -> list[list]:
 
 def _no_spares(cell: ScenarioConfig, deployment: str, num: int) -> AvailabilityReport:
     """Availability of ``num`` PF nodes without a standby pool, at the cell's rates."""
-    model = build_availability_model(ClusterSpec(PF, deployment, num=num),
-                                     cell.avail_rates(), cell.parallel_recovery)
+    model = _model_to_solve(ClusterSpec(PF, deployment, num=num),
+                            cell.avail_rates(), cell.parallel_recovery)
     return availability(model, cell.horizon_s)
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ctmc import _check_number
+
 __all__ = ["NODE_VARIANTS", "NodeVariant", "TransientSplit", "throughput_ratio"]
 
 
@@ -36,9 +38,7 @@ class TransientSplit:
 
     def __post_init__(self) -> None:
         for name in ("corrupt", "crash", "retried"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} fraction must lie in [0, 1], got {value!r}")
+            _check_number(f"{name} fraction", getattr(self, name), above=False, most=1.0)
         if self.corrupt + self.crash + self.retried > 1.0 + 1e-12:
             raise ValueError("outcome fractions must sum to at most 1")
 

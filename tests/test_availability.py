@@ -1,6 +1,7 @@
 """Availability models: state spaces, closed forms, and monotonicity."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pcraft import (
     build_pf_model,
     nines,
 )
+from pcraft.availability import _chain_states, _model_to_solve
 from pcraft.units import YEAR
 
 # (1 - exp(-1)): one-node on-premises interval availability at 1 crash/year.
@@ -195,6 +197,7 @@ class TestNines:
 
     def test_zero_availability(self):
         assert nines(0.0) == 0.0
+        assert math.copysign(1.0, nines(0.0)) == 1.0   # +0.0: the CLI prints -0.0 as is
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0001, math.nan])
     def test_rejects_out_of_range(self, bad):
@@ -251,6 +254,40 @@ class TestMonotonicity:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("spec", [ClusterSpec(ARA, CLOUD, num=10**5),
+                                      ClusterSpec(PF, ON_PREMISES, num=3, pool=10**4)])
+    def test_refuses_a_chain_past_the_memory_guard_before_building_it(self, spec, monkeypatch):
+        # 24 * 100**2 bytes hold the dense arrays of a 100-state solve.
+        monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: 24 * 100**2)
+
+        def build_ctmc(*args):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(sys.modules["pcraft.availability"], "build_ctmc", build_ctmc)
+        with pytest.raises(ValueError, match=r"\d{5}-state chain.*sert_multiplier"):
+            _model_to_solve(spec, FIFTEEN_S)
+
+    def test_builds_a_chain_too_large_to_solve(self, monkeypatch):
+        # The public builder serves the simulator too, which has its own guard.
+        monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: 24 * 100**2)
+        model = build_availability_model(ClusterSpec(ARA, CLOUD, num=200), FIFTEEN_S)
+        assert model.ctmc.n == 201
+        with pytest.raises(ValueError, match="201-state chain"):
+            availability(model, YEAR)
+
+    @pytest.mark.parametrize("repair", [None, 1.0 / 3600.0])
+    @pytest.mark.parametrize("deployment", [CLOUD, ON_PREMISES])
+    @pytest.mark.parametrize("technique", [PF, ARA])
+    def test_chain_size_is_known_before_building(self, technique, deployment, repair):
+        # The solving paths refuse an oversized chain from this count alone.
+        rates = AvailRates(2.0, 1.0 / 15.0, repair)
+        for num in range(1, 6):
+            for extra in range(5):
+                spec = ClusterSpec.with_extra(technique, deployment, num, extra)
+                for parallel in (True, False):
+                    built = build_availability_model(spec, rates, parallel).ctmc.n
+                    assert _chain_states(spec, rates) == built, (spec, parallel)
+
     @pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf])
     def test_rejects_bad_horizon(self, horizon):
         model = build_pf_model(ClusterSpec(PF, CLOUD, num=1), FIFTEEN_S)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -280,6 +281,49 @@ class TestAvail:
         padded_cfg = write_cfg(tmp_path, base + "extra_nodes = 18\n")
         _, padded, _ = run(["avail", "--config", padded_cfg], capsys)
         assert float(rows_of(padded)[1][5]) > float(rows_of(bare)[1][5])
+
+
+class TestChainsPastTheSolveGuard:
+    """The solvers' dense memory guard limits the chains they solve, not
+    the chains the simulator runs."""
+
+    @pytest.fixture
+    def just_past(self, tmp_path):
+        physical = pcraft.ctmc._physical_memory()
+        if physical is None:
+            pytest.skip("physical memory is unknown on this system")
+        limit = math.isqrt(physical // (3 * 8))   # three dense n x n float arrays
+        # native serves one unit of load per node: base = limit, so limit + 1 states.
+        return limit, write_cfg(tmp_path, f"""
+            technique = ARA
+            deployment = cloud
+            node_variant = native
+            sert_multiplier = {limit}
+            horizon_hours = 1
+            replications = 20
+        """)
+
+    @pytest.mark.parametrize("command", ["avail", "plan"])
+    def test_solving_commands_refuse_it_before_building(self, command, just_past,
+                                                        capsys, monkeypatch):
+        limit, cfg = just_past
+
+        def build_ctmc(*args):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(sys.modules["pcraft.availability"], "build_ctmc", build_ctmc)
+        code, out, err = run([command, "--config", cfg], capsys)
+        assert (code, out) == (1, "")
+        assert f"a {limit + 1}-state chain is too large to solve" in err
+        assert f"arrays of {limit} states at most" in err and "sert_multiplier" in err
+
+    def test_simulate_runs_it(self, just_past, capsys):
+        limit, cfg = just_past
+        code, out, err = run(["simulate", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        row = rows_of(out)[1]
+        assert row[3] == str(limit)
+        assert 0.0 <= float(row[5]) <= 1.0
 
 
 class TestIntegrity:

@@ -153,6 +153,31 @@ def test_chains_are_checked_in_one_place():
     assert inside == set(phrases) and not outside, f"chain checks outside Ctmc: {outside}"
 
 
+def test_numbers_are_checked_in_one_place():
+    # One checker decides what a valid public number is; the config parser
+    # and the benchmark CSV reader check text, and name a key or a cell.
+    owners = {("ctmc", "_check_number"), ("config", "_parse_value"),
+              ("perf", "parse_benchmark_csv")}
+    inside, outside = set(), []
+    for path in MODULES:
+        tree = parse(path)
+        owned = {id(node): (path.stem, func.name) for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) and (path.stem, func.name) in owners
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                 and isinstance(node.value, ast.Name) and node.value.id == "math")
+                    or (isinstance(node, ast.Name) and node.id == "isfinite")):
+                if id(node) in owned:
+                    inside.add(owned[id(node)])
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+            if "_is_integer" in (getattr(node, "id", None), getattr(node, "name", None)):
+                outside.append(f"{path.name}:{node.lineno} _is_integer")
+    assert inside and inside <= owners and not outside, (
+        f"numbers checked outside the checker: {outside}")
+
+
 def test_simulator_shares_the_kernels_input_checks():
     # The simulator cross-checks the solvers, so it accepts exactly the
     # rewards and horizons they accept.
@@ -254,6 +279,16 @@ def test_availability_builds_chains_only_through_explore():
             if isinstance(node, ast.Name) and node.id == "build_ctmc"]
     outside = [f"availability.py:{node.lineno}" for node in uses if id(node) not in explore]
     assert uses and not outside, f"build_ctmc used outside _explore: {outside}"
+
+
+def test_solved_chains_are_sized_before_they_are_built():
+    # The public builder serves the simulator, which runs chains the
+    # solvers refuse; every other caller builds through _model_to_solve.
+    users = sorted({(path.stem, func.name) for path in MODULES if path.stem != "availability"
+                    for func in ast.walk(parse(path)) if isinstance(func, ast.FunctionDef)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and node.id == "build_availability_model"})
+    assert users == [("cli", "_cmd_simulate")], f"unsized builds: {users}"
 
 
 def test_no_public_function_takes_a_tolerance():

@@ -123,7 +123,7 @@ class TestEdgeCases:
             simulate_ctmc(two_state(), np.array(reward), YEAR, replications=8)
 
     def test_rejects_single_replication(self):
-        with pytest.raises(ValueError, match="at least 2 replications"):
+        with pytest.raises(ValueError, match="replications must be an integer and at least 2"):
             simulate_ctmc(two_state(), up_reward, YEAR, replications=1)
 
     @pytest.mark.parametrize("replications", [2.5, 100.0, "100", True])
@@ -133,7 +133,7 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
     def test_rejects_bad_seed(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer and nonnegative"):
             simulate_ctmc(two_state(), up_reward, YEAR, replications=8, seed=seed)
 
     def test_accepts_numpy_integers(self):
