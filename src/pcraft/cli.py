@@ -23,12 +23,13 @@ import csv
 import functools
 import sys
 
-from .availability import ClusterSpec, _model_to_solve, availability, build_availability_model
+from .availability import (ClusterSpec, _chain_states, _model_to_solve, availability,
+                           build_availability_model)
 from .config import ConfigError, ScenarioConfig, load_config
 from .integrity import build_integrity_model, integrity_breakdown
 from .perf import degradation_ratios, parse_benchmark_csv, saturation_throughput
 from .planner import plan_capacity
-from .simulate import simulate_ctmc
+from .simulate import _check_batch_fits, simulate_ctmc
 from .suites import SUITES, run_suite
 from .variants import NODE_VARIANTS
 
@@ -139,13 +140,10 @@ def _variants_for(config: ScenarioConfig) -> list[str]:
     return list(NODE_VARIANTS)
 
 
-def _cluster_model(config: ScenarioConfig, variant: str, build):
+def _cluster_spec(config: ScenarioConfig, variant: str) -> ClusterSpec:
     config.require("technique", "deployment")
-    base = config.base_nodes(variant)
-    extra = config.extra_nodes
-    spec = ClusterSpec.with_extra(config.technique, config.deployment, base, extra)
-    model = build(spec, config.avail_rates(), config.parallel_recovery)
-    return base, extra, model
+    return ClusterSpec.with_extra(config.technique, config.deployment,
+                                  config.base_nodes(variant), config.extra_nodes)
 
 
 def _cmd_ingest(args, config: ScenarioConfig):
@@ -186,10 +184,11 @@ def _cmd_ingest(args, config: ScenarioConfig):
 def _cmd_avail(args, config: ScenarioConfig):
     rows = []
     for variant in _variants_for(config):
-        base, extra, model = _cluster_model(config, variant, _model_to_solve)
+        spec = _cluster_spec(config, variant)
+        model = _model_to_solve(spec, config.avail_rates(), config.parallel_recovery)
         report = availability(model, config.horizon_s)
-        rows.append([config.technique, config.deployment, variant, base,
-                     extra, report.availability, report.nines,
+        rows.append([config.technique, config.deployment, variant, spec.num,
+                     config.extra_nodes, report.availability, report.nines,
                      report.downtime_hours])
     return ("technique", "deployment", "variant", "base", "extra",
             "availability", "nines", "downtime_hours"), rows
@@ -228,11 +227,13 @@ def _cmd_simulate(args, config: ScenarioConfig):
     replications, seed = config.replications, config.seed
     rows = []
     for variant in _variants_for(config):
-        base, extra, model = _cluster_model(config, variant, build_availability_model)
+        spec, rates = _cluster_spec(config, variant), config.avail_rates()
+        _check_batch_fits(replications, _chain_states(spec, rates), 1)
+        model = build_availability_model(spec, rates, config.parallel_recovery)
         est = simulate_ctmc(model.ctmc, model.up_reward, config.horizon_s,
                             replications, seed)
-        rows.append([config.technique, config.deployment, variant, base,
-                     extra, est.mean, est.ci_half_width, est.low, est.high,
+        rows.append([config.technique, config.deployment, variant, spec.num,
+                     config.extra_nodes, est.mean, est.ci_half_width, est.low, est.high,
                      replications, seed])
     return ("technique", "deployment", "variant", "base", "extra", "mean",
             "ci_half_width", "ci_low", "ci_high", "replications", "seed"), rows

@@ -35,15 +35,15 @@ beyond a logarithm.
   are restored after every level.  Entries of ``M`` below
   ``sqrt(tiny)`` are then flushed to zero, so no product is subnormal.
 * Implicit (on ``Q`` for occupancy, ``Q^T`` for the distribution), for
-  larger chains: equal steps of the L-stable Radau IIA method (three
-  stages, order 5; Reibman & Trivedi 1988, Malhotra, Muppala & Trivedi
-  1994), each a real and a complex sparse LU solve.  Its cost does not
-  grow with ``q*t``: the stiff components decay within a step.  The
-  step count is doubled, or sized from the error estimate, until runs
-  of N and 2N steps agree.  Occupancy is integrated as the complement
-  ``max(r) - r`` of the reward, so that the estimate is relative to the
-  small downtime-style quantity, down to the rounding floor of the LU
-  solves.
+  larger chains: equal steps of the L-stable Radau IIA method (four
+  stages, order 7; Reibman & Trivedi 1988, Malhotra, Muppala & Trivedi
+  1994; Hairer & Wanner, *Solving ODEs II*, IV.5), each two complex
+  sparse LU solves.  Its cost does not grow with ``q*t``: the stiff
+  components decay within a step.  The step count is doubled, or sized
+  from the error estimate, until runs of N and 2N steps agree.
+  Occupancy is integrated as the complement ``max(r) - r`` of the
+  reward, so that the estimate is relative to the small downtime-style
+  quantity, down to the rounding floor of the LU solves.
 
 Accuracy is fixed, not a parameter.  Each squaring base step drops
 1e-15 of Poisson mass.  The implicit route bounds the estimated error of
@@ -53,13 +53,13 @@ relative to that quantity.  The solve's rounding floor ``n * eps *
 max(reward) * horizon`` caps what it can meet: a complement below that
 floor over ``_IMPLICIT_TOL`` is met to the floor, an absolute error.
 
-The implicit route's floor of 48 steps and four factorizations costs
-more than the n**3 products of squaring on small chains, and less once
-n**3 grows.  One round of the on-premises PF pool and ARA extras sweeps
-(chains of 32 to 1040 states; the ``onprem-plan`` benchmark workload)
-took 2.09, 1.92, 1.81, 1.90, 1.90 and 2.01 s with the switch at 64, 96,
-128, 160, 256 and 300 states (median of 5, one OpenBLAS thread, 2-core
-x86_64), so squaring keeps chains of up to 128 states.
+The implicit route's floor of 48 steps and four complex factorizations
+costs more than the n**3 products of squaring on small chains, and less
+once n**3 grows.  One round of the on-premises PF pool and ARA extras
+sweeps (chains of 11 to 1016 states; the ``onprem-plan`` benchmark
+workload) took 0.272, 0.260, 0.272 and 0.321 s with the switch at 64,
+96, 128 and 160 states (median of 5, one OpenBLAS thread, 2-core
+x86_64), so squaring keeps chains of up to 96 states.
 
 Building a chain and the squaring route use numpy alone.  ``scipy`` is
 imported on first use by the two things that need it: the implicit
@@ -96,26 +96,27 @@ _UNIFORMIZATION_SLACK = 1.02
 _BASE_STEP_EVENTS = 8.0         # target q*dt for the squaring base step
 _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
-_SQUARING_MAX_N = 128           # larger chains take the implicit route
+_SQUARING_MAX_N = 96            # larger chains take the implicit route
 _IMPLICIT_TOL = 1e-10           # implicit route's relative error bound
 _FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
 _FLOAT_MAX = sys.float_info.max            # a Python float: compares exactly with any int
 
-# Radau IIA (three stages, order 5) on a linear system z' = A z advances
-# a step of size h exactly as z <- R(hA) z, where R is the (2,3) Pade
-# approximant (1 + 2x/5 + x^2/20) / (1 - 3x/5 + 3x^2/20 - x^3/60) of exp.
-# Partial fractions split R into a real pole and a conjugate pair,
-#     R(x) = c1 / (x - p1) + 2 Re[c2 / (x - p2)],
-# so a step is one real and one complex shifted sparse solve.  The poles
-# are the roots of 60 - 36x + 9x^2 - x^3, the residues (60 + 24p + 3p^2)
-# / (-36 + 18p - 3p^2); written out so that importing runs no LAPACK.
-_RADAU_REAL_POLE = 3.637834252744496
-_RADAU_REAL_RESIDUE = -18.297498174845842
-_RADAU_COMPLEX_POLE = 2.6810828736277523 + 3.0504301992474105j
-_RADAU_COMPLEX_RESIDUE = 7.648749087422922 + 4.171640244747437j
-_RADAU_ERROR_DIVISOR = 31.0     # 2**5 - 1: Richardson estimate for order 5
+# Radau IIA (four stages, order 7) on a linear system z' = A z advances a
+# step of size h exactly as z <- R(hA) z, where R is the (3,4) Pade
+# approximant (840 + 360x + 60x^2 + 4x^3) / (840 - 480x + 120x^2 - 16x^3
+# + x^4) of exp.  Its partial fractions are two conjugate pole pairs,
+#     R(x) = 2 Re[c1 / (x - p1)] + 2 Re[c2 / (x - p2)],
+# so a step is two complex shifted sparse solves.  The poles are roots of
+# the denominator D, the residues N(p) / D'(p); written out so that
+# importing runs no LAPACK.
+_RADAU_POLES = (4.787193103128466 + 1.5674764168952082j,
+                3.212806896871534 + 4.773087433276642j)
+_RADAU_RESIDUES = (13.301539995971487 - 60.07173273704744j,
+                   -11.301539995971487 + 12.47167585025023j)
+_RADAU_ORDER = 7
+_RADAU_ERROR_DIVISOR = 2.0 ** _RADAU_ORDER - 1.0   # Richardson estimate from N and 2N steps
 _IMPLICIT_FIRST_STEPS = 16
-_IMPLICIT_STEP_SAFETY = 1.2     # next pair sized for an estimate 1.2**5 below tol
+_IMPLICIT_STEP_SAFETY = 1.2     # next pair sized for an estimate 1.2**order below tol
 _IMPLICIT_MAX_STEPS = 4096
 
 
@@ -431,12 +432,12 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
     and keeps the sparse factors of ``h a - pole I`` free of a dense
     column.  Steps of one size share the two factorizations.
 
-    Runs of ``N`` and ``2N`` steps give the order-5 estimate ``|z_N -
-    z_2N| / 31`` of each entry's error in ``z_2N``, which is returned once
+    Runs of ``N`` and ``2N`` steps give the order-7 estimate ``|z_N -
+    z_2N| / 127`` of each entry's error in ``z_2N``, which is returned once
     every estimate is at most ``tol * max(|z_2N|, floor)``: relative to
     the entry, but never finer than ``tol * floor``, such as the rounding
     noise the solves leave, which no step count removes.  Otherwise the
-    estimate, falling like ``N**-5``, sizes the next pair; a pair beyond
+    estimate, falling like ``N**-7``, sizes the next pair; a pair beyond
     ``_IMPLICIT_MAX_STEPS`` fails the solve.
     """
     from scipy.sparse import csc_matrix, identity
@@ -450,16 +451,13 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
         h = t / steps
         # Symmetric mode keeps COLAMD's order but lays the factors out so
         # that a solve runs about a third faster on the family chains.
-        real = splu(h * a - _RADAU_REAL_POLE * eye, options={"SymmetricMode": True})
-        cplx = splu(h * a - _RADAU_COMPLEX_POLE * eye, options={"SymmetricMode": True})
-        push_real = push_cplx = 0.0
-        if forcing is not None:
-            push_real = (h / _RADAU_REAL_POLE) * forcing
-            push_cplx = (h / _RADAU_COMPLEX_POLE) * forcing
+        lu1, lu2 = (splu(h * a - p * eye, options={"SymmetricMode": True})
+                    for p in _RADAU_POLES)
+        push1, push2 = (0.0 if forcing is None else (h / p) * forcing for p in _RADAU_POLES)
+        c1, c2 = _RADAU_RESIDUES
         z = z0
         for _ in range(steps):
-            z = (_RADAU_REAL_RESIDUE * real.solve(z + push_real)
-                 + 2.0 * (_RADAU_COMPLEX_RESIDUE * cplx.solve(z + push_cplx)).real)
+            z = 2.0 * ((c1 * lu1.solve(z + push1)).real + (c2 * lu2.solve(z + push2)).real)
         return z
 
     steps = _IMPLICIT_FIRST_STEPS
@@ -473,7 +471,7 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
         worst = float(ratio.max())   # a NaN fails every test below
         if worst <= tol:
             return fine
-        target = steps * (worst / tol) ** 0.2 * _IMPLICIT_STEP_SAFETY
+        target = steps * (worst / tol) ** (1.0 / _RADAU_ORDER) * _IMPLICIT_STEP_SAFETY
         grown = (2 * steps if target <= 2 * steps
                  else math.ceil(min(_IMPLICIT_MAX_STEPS, target)))
         if 2 * grown > _IMPLICIT_MAX_STEPS:

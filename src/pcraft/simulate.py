@@ -147,19 +147,20 @@ def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _check_batch_fits(replications: int, n: int, width: int) -> None:
-    """Refuse a simulation whose batched arrays exceed physical memory."""
+    """Refuse a simulation whose batched arrays exceed physical memory; ``width``
+    may be a lower bound on the out-degree, for a chain not yet built."""
     physical = _physical_memory()
     if physical is None:
         return
     table = _TABLE_WORDS * 8 * n * width
     if table > physical:
         raise ValueError(
-            f"a {n}-state chain with out-degree up to {width} needs about "
-            f"{table / 1e9:.0f} GB for its padded jump table, more than the "
+            f"a {n}-state chain needs at least {table // 10**9} GB for its jump "
+            f"table of at least {width} entries a state, more than the "
             f"{physical / 1e9:.0f} GB of physical memory")
     batch = 8 * (_WORDS_PER_REPLICATION + width) * replications
     if batch > physical:
         raise ValueError(
-            f"replications={replications} needs about {batch / 1e9:.0f} GB "
+            f"replications={replications} needs about {batch // 10**9} GB "
             f"for the batched simulation, more than the {physical / 1e9:.0f} "
             f"GB of physical memory; lower replications")

@@ -326,6 +326,34 @@ class TestChainsPastTheSolveGuard:
         assert 0.0 <= float(row[5]) <= 1.0
 
 
+class TestChainsPastTheSimulatorGuard:
+    """``pcraft simulate`` sizes the chain by its spec and refuses, unbuilt,
+    one whose jump table cannot fit in physical memory."""
+
+    @pytest.mark.parametrize("key, value, states", [
+        ("sert_multiplier", "1e300", int(1e300) + 1),   # native: one node per unit of load
+        ("extra_nodes", "1" + "0" * 400, 10**400 + 11),  # base 10 at the default sert 10
+    ], ids=["sert_multiplier", "extra_nodes"])
+    def test_refuses_it_before_building(self, key, value, states, tmp_path, capsys,
+                                        monkeypatch):
+        if pcraft.ctmc._physical_memory() is None:
+            pytest.skip("physical memory is unknown on this system")
+
+        def build_ctmc(*args):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(sys.modules["pcraft.availability"], "build_ctmc", build_ctmc)
+        cfg = write_cfg(tmp_path, f"""
+            technique = ARA
+            deployment = cloud
+            node_variant = native
+            {key} = {value}
+        """)
+        code, out, err = run(["simulate", "--config", cfg], capsys)
+        assert (code, out) == (1, "")
+        assert f"a {states}-state chain needs at least" in err and "jump table" in err
+
+
 class TestIntegrity:
     def test_time_shares_sum_to_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """

@@ -19,10 +19,9 @@ import pcraft.ctmc as ctmc_module
 from pcraft.ctmc import (
     _BASE_STEP_EVENTS,
     _BASE_STEP_TOL,
-    _RADAU_COMPLEX_POLE,
-    _RADAU_COMPLEX_RESIDUE,
-    _RADAU_REAL_POLE,
-    _RADAU_REAL_RESIDUE,
+    _RADAU_ERROR_DIVISOR,
+    _RADAU_POLES,
+    _RADAU_RESIDUES,
     Ctmc,
     _base_step_terms,
     _implicit_occupancy,
@@ -418,8 +417,8 @@ class TestOccupancyKernel:
 
     def test_route_reads_the_state_count(self):
         rng = np.random.default_rng(0)
-        assert _route(random_generator_chain(rng, 128)) == "squaring"
-        assert _route(random_generator_chain(rng, 129)) == "implicit"
+        assert _route(random_generator_chain(rng, 96)) == "squaring"
+        assert _route(random_generator_chain(rng, 97)) == "implicit"
         # On-premises ARA at 6 crashes/yr, base 10, 1000 extras: a sparse
         # pure death chain.
         ara = build_availability_model(
@@ -543,28 +542,19 @@ class TestImplicitRoute:
     """Radau IIA: its constants, its failure mode and its output ranges."""
 
     def test_poles_and_residues_match_the_pade_denominator(self):
-        # R(x) = (60 + 24x + 3x^2) / (60 - 36x + 9x^2 - x^3)
-        def numerator(x):
-            return 60.0 + 24.0 * x + 3.0 * x * x
-
-        def denominator(x):
-            return 60.0 - 36.0 * x + 9.0 * x * x - x ** 3
-
-        roots = np.roots([-1.0, 9.0, -36.0, 60.0])
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        upper = roots[roots.imag > 1e-9]
-        assert len(real) == 1 and len(upper) == 1
-        assert _RADAU_REAL_POLE == pytest.approx(real[0], rel=1e-14)
-        assert _RADAU_COMPLEX_POLE == pytest.approx(upper[0], rel=1e-14)
-        for pole, residue in ((_RADAU_REAL_POLE, _RADAU_REAL_RESIDUE),
-                              (_RADAU_COMPLEX_POLE, _RADAU_COMPLEX_RESIDUE)):
-            slope = -36.0 + 18.0 * pole - 3.0 * pole * pole
-            assert residue == pytest.approx(numerator(pole) / slope, rel=1e-13)
+        # R(x) = (840 + 360x + 60x^2 + 4x^3) / (840 - 480x + 120x^2 - 16x^3 + x^4)
+        numerator = np.polynomial.Polynomial([840.0, 360.0, 60.0, 4.0])
+        denominator = np.polynomial.Polynomial([840.0, -480.0, 120.0, -16.0, 1.0])
+        upper = sorted((r for r in denominator.roots() if r.imag > 0), key=lambda r: -r.real)
+        assert len(upper) == 2   # two conjugate pairs, no real pole
+        assert _RADAU_POLES == pytest.approx(upper, rel=1e-14)
+        for pole, residue in zip(_RADAU_POLES, _RADAU_RESIDUES):
+            assert residue == pytest.approx(numerator(pole) / denominator.deriv()(pole),
+                                            rel=1e-13)
+        assert _RADAU_ERROR_DIVISOR == 2 ** 7 - 1
         for x in (0.0, -0.5, -3.0, -1e3, 2.0j, -1.0 + 40.0j):
-            fractions = (_RADAU_REAL_RESIDUE / (x - _RADAU_REAL_POLE)
-                         + _RADAU_COMPLEX_RESIDUE / (x - _RADAU_COMPLEX_POLE)
-                         + np.conj(_RADAU_COMPLEX_RESIDUE)
-                         / (x - np.conj(_RADAU_COMPLEX_POLE)))
+            fractions = sum(c / (x - p) + np.conj(c) / (x - np.conj(p))
+                            for p, c in zip(_RADAU_POLES, _RADAU_RESIDUES))
             assert fractions == pytest.approx(numerator(x) / denominator(x),
                                               rel=1e-12, abs=1e-15)
 
@@ -647,6 +637,17 @@ class TestImplicitRoute:
                            match=r"1040-state chain at q\*t = 9\.91e\+06.*"
                                  r"estimate \d\.\d+e-\d+ after 32 steps"):
             occupancy_from_each_start(model.ctmc, model.up_reward, 2700 * HOUR)
+
+    def test_family_converges_within_64_steps(self, monkeypatch):
+        # Order 7 meets the tolerance on the 1040-state family by runs of
+        # 16, 32 and 64 steps; at order 5 it took about 550.
+        model = pf_family(64)
+        horizon = 2700 * HOUR
+        free = occupancy_from_each_start(model.ctmc, model.up_reward, horizon)
+        monkeypatch.setattr(ctmc_module, "_IMPLICIT_MAX_STEPS", 64)
+        capped = occupancy_from_each_start(model.ctmc, model.up_reward, horizon)
+        assert model.ctmc.n == 1040
+        assert np.array_equal(capped, free)
 
     def test_transient_clips_negatives_and_renormalises(self):
         # With pool repair the chain is cyclic; the stepper leaves
