@@ -8,7 +8,11 @@ states first, then one exponential holding time and one uniform
 successor draw for each replication still running.  The estimate is
 therefore a deterministic function of ``(seed, replications)``; the same
 seed with another replication count gives a different stream.
-"""
+
+Each successor is found by sequential-search inversion: its column is
+the number of the state's cumulative jump probabilities at or below the
+uniform draw.  Finished replications are retired, and the live arrays
+compacted, only on steps where at least one finishes."""
 
 from __future__ import annotations
 
@@ -26,12 +30,16 @@ __all__ = ["SimEstimate", "simulate_ctmc"]
 _Z99 = 2.5758293035489004
 
 # Arrays of one 8-byte word per replication the batched loop holds at
-# once (start draws, state, clock, accumulator, index, averages, the two
-# draws, exit rate, holding time, masks), on top of the gathered row of
-# ``width`` cumulative probabilities per live replication.
-_WORDS_PER_REPLICATION = 12
-# Padded n x width tables held while building: rates, cumulative
-# probabilities and successors.
+# once: state, clock, accumulator, index and averages throughout, a step's
+# two draws and trajectory ends, up to four temporaries while replications
+# retire, and two to spare for masks (tracemalloc peaks at about 11 words
+# for a chain of out-degree 1).
+_WORDS_PER_REPLICATION = 14
+# Bytes per replication for each successor column past the first: the
+# gathered 8-byte threshold and its 1-byte comparison.
+_BYTES_PER_THRESHOLD = 9
+# Padded n x width tables held while building: successors, cumulative
+# probabilities and their transposed thresholds.
 _TABLE_WORDS = 3
 
 
@@ -79,7 +87,7 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
     _check_number("replications", replications, 2, above=False, integer=True)
     _check_number("seed", seed, above=False, integer=True)
 
-    successors, jump_cum = _jump_tables(ctmc, replications)
+    successors, thresholds = _jump_tables(ctmc, replications)
     exit_rates = ctmc.exit_rates
     rng = np.random.default_rng(seed)
 
@@ -92,27 +100,26 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
     averages = np.empty(replications)
     events = 0
 
-    while index.size:
-        rate = exit_rates[state]
-        holding = rng.standard_exponential(index.size)
-        u = rng.random(index.size)
-        # Absorption is decided by the exit rate, never by the holding
-        # time, so a zero draw over a zero rate cannot leak a NaN.
-        moving = rate > 0.0
-        np.divide(holding, rate, out=holding, where=moving)
-        moving &= clock + holding < horizon_s
-
-        done = ~moving
-        averages[index[done]] = (acc[done] + reward[state[done]]
-                                 * (horizon_s - clock[done])) / horizon_s
-
-        index, state, clock, acc = index[moving], state[moving], clock[moving], acc[moving]
-        holding, u = holding[moving], u[moving]
-        acc += reward[state] * holding
-        clock += holding
-        column = np.argmax(jump_cum[state] > u[:, None], axis=1)
-        state = successors[state, column]
-        events += index.size
+    # An absorbing state has exit rate zero, so its holding time comes out
+    # inf (or NaN for a zero draw); either fails the horizon test and
+    # retires the replication, whose average never reads the holding time.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while index.size:
+            holding = rng.standard_exponential(index.size)
+            u = rng.random(index.size)
+            holding /= exit_rates[state]
+            ends = clock + holding
+            moving = ends < horizon_s
+            if not moving.all():
+                done = ~moving
+                averages[index[done]] = (acc[done] + reward[state[done]]
+                                         * (horizon_s - clock[done])) / horizon_s
+                index, state, acc = index[moving], state[moving], acc[moving]
+                holding, u, ends = holding[moving], u[moving], ends[moving]
+            acc += reward[state] * holding
+            clock = ends
+            state = _successors_of(successors, thresholds, state, u)
+            events += index.size
 
     mean = float(np.mean(averages))
     half = _Z99 * float(np.std(averages, ddof=1)) / math.sqrt(replications)
@@ -121,12 +128,15 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
 
 
 def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded ``(n, max out-degree)`` successor and cumulative-probability tables.
+    """Flat successor table and ``(width - 1, n)`` threshold table, for
+    ``width`` the largest out-degree.
 
-    Row ``i`` lists state ``i``'s successors in index order.  Its
-    cumulative jump rates are divided by their own last entry, so the
-    last real entry and the padding after it are exactly 1.0 and the
-    first entry above a uniform draw in ``[0, 1)`` is a real successor.
+    ``successors[i * width + k]`` is state ``i``'s ``k``-th successor in
+    index order, and ``thresholds[k, i]`` the probability of its first
+    ``k + 1``: cumulative jump rates over their own last entry, so the
+    last real entry and the padding after it, dropped here, are exactly
+    1.0, and a draw in ``[0, 1)`` is at or above ``k`` thresholds exactly
+    when its first cumulative entry above it, a real successor, is ``k``.
     Refuses, before building them, a batch whose tables or
     per-replication arrays would not fit in memory.
     """
@@ -138,12 +148,29 @@ def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]
     column = np.arange(rows.size) - np.searchsorted(rows, rows)
     successors = np.zeros((n, width), dtype=np.intp)
     successors[rows, column] = cols
-    padded_rates = np.zeros((n, width))
-    padded_rates[rows, column] = rates
-    jump_cum = np.cumsum(padded_rates, axis=1)
+    jump_cum = np.zeros((n, width))
+    jump_cum[rows, column] = rates
+    np.cumsum(jump_cum, axis=1, out=jump_cum)
     total = jump_cum[:, -1:].copy()
     np.divide(jump_cum, total, out=jump_cum, where=total > 0.0)
-    return successors, jump_cum
+    return successors.ravel(), np.ascontiguousarray(jump_cum[:, :-1].T)
+
+
+def _successors_of(successors: np.ndarray, thresholds: np.ndarray, state: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """The successor of each ``state`` for its uniform draw ``u``, from the
+    tables of :func:`_jump_tables`: its column is the number of the state's
+    thresholds at or below the draw."""
+    column = np.add.reduce(thresholds.take(state, axis=1) <= u, axis=0, dtype=np.intp)
+    return successors[state * (thresholds.shape[0] + 1) + column]
+
+
+def _footprint(replications: int, n: int, width: int) -> tuple[int, int]:
+    """Bytes of the jump tables and of the batched loop's per-replication
+    arrays, for a chain of ``n`` states and out-degree ``width``."""
+    table = _TABLE_WORDS * 8 * n * width
+    batch = (8 * _WORDS_PER_REPLICATION + _BYTES_PER_THRESHOLD * (width - 1)) * replications
+    return table, batch
 
 
 def _check_batch_fits(replications: int, n: int, width: int) -> None:
@@ -152,13 +179,12 @@ def _check_batch_fits(replications: int, n: int, width: int) -> None:
     physical = _physical_memory()
     if physical is None:
         return
-    table = _TABLE_WORDS * 8 * n * width
+    table, batch = _footprint(replications, n, width)
     if table > physical:
         raise ValueError(
             f"a {n}-state chain needs at least {table // 10**9} GB for its jump "
             f"table of at least {width} entries a state, more than the "
             f"{physical / 1e9:.0f} GB of physical memory")
-    batch = 8 * (_WORDS_PER_REPLICATION + width) * replications
     if batch > physical:
         raise ValueError(
             f"replications={replications} needs about {batch // 10**9} GB "

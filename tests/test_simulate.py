@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from pcraft import build_ctmc, simulate_ctmc
+from pcraft.availability import (ARA, CLOUD, ON_PREMISES, PF, AvailRates, ClusterSpec,
+                                 build_availability_model)
 from pcraft.ctmc import Ctmc
+from pcraft.simulate import _footprint, _jump_tables, _successors_of
 from pcraft.units import YEAR
 
 LAMBDA_PER_S = 12.0 / YEAR
@@ -80,6 +83,118 @@ class TestDeterminism:
         est = simulate_ctmc(chain, up_reward, YEAR, replications=64, seed=9)
         assert est.replications == 64
         assert est.seed == 9
+
+
+def random_chain(seed, n, dense):
+    """A ring through ``n`` states plus random edges (about half of all
+    pairs when dense, two a state otherwise), started in state 0."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, (i + 1) % n): float(rng.uniform(0.5, 1.5)) for i in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < (0.5 if dense else 2.0 / n):
+                edges[(i, j)] = float(rng.uniform(0.5, 1.5))
+    chain = build_ctmc([(i, j, r) for (i, j), r in edges.items()],
+                       {i: float(i == 0) for i in range(n)})
+    return chain, rng.random(n)
+
+
+def cluster_chain(spec, rates):
+    model = build_availability_model(spec, rates)
+    return model.ctmc, model.up_reward
+
+
+def pinned_cases():
+    """(chain, reward, horizon, replications, seed) for each pinned estimate."""
+    spread = build_ctmc([("a", "b", 2.0), ("b", "c", 1.0), ("c", "a", 0.5), ("b", "a", 1.5)],
+                        {"a": 0.2, "b": 0.5, "c": 0.3})
+    return {
+        # Out-degree 1, the all-down state absorbing.
+        "ara-on-premises": (*cluster_chain(ClusterSpec(ARA, ON_PREMISES, num=10, op=3),
+                                           AvailRates(6.0, 1.0 / 15.0)), YEAR, 300, 5),
+        # Out-degree 2, (0, 0) absorbing.
+        "pf-on-premises": (*cluster_chain(ClusterSpec(PF, ON_PREMISES, num=10, pool=4),
+                                          AvailRates(6.0, 1.0 / 15.0)), YEAR, 300, 6),
+        # Nothing absorbing: every crashed node is re-provisioned.
+        "cloud-ara": (*cluster_chain(ClusterSpec(ARA, CLOUD, num=10, op=1),
+                                     AvailRates(6.0, 1.0 / 1800.0)), YEAR, 200, 7),
+        "sparse-random": (*random_chain(41, 40, dense=False), 15.0, 300, 8),
+        "dense-random": (*random_chain(42, 30, dense=True), 15.0, 300, 9),
+        "single-state": (build_ctmc([], {"only": 1.0}), np.array([0.25]), 10.0, 50, 10),
+        "spread-start": (spread, np.array([1.0, 0.25, 0.0]), 4.0, 500, 11),
+    }
+
+
+# float.hex of (mean, ci_half_width) and the event count, frozen: a faster
+# loop must draw the same stream and do the same arithmetic.
+PINNED = {
+    "ara-on-premises": ("0x1.b7f07779ad463p-5", "0x1.0ffd3f9739305p-8", 3895),
+    "pf-on-premises": ("0x1.59d11d068a726p-4", "0x1.6544161518ed6p-8", 5392),
+    "cloud-ara": ("0x1.ffff4964e7de1p-1", "0x1.a58747370163fp-19", 26376),
+    "sparse-random": ("0x1.c5d3b9e2670f7p-2", "0x1.83b96d3327c74p-7", 10141),
+    "dense-random": ("0x1.d977fa625d9c3p-2", "0x1.05b782a7255c9p-8", 68283),
+    "single-state": ("0x1.0000000000000p-2", "0x0.0p+0", 0),
+    "spread-start": ("0x1.69b1798a8bef7p-2", "0x1.9bd9acd2739c7p-6", 2990),
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_estimate_is_pinned_bit_for_bit(self, name):
+        chain, reward, horizon, replications, seed = pinned_cases()[name]
+        est = simulate_ctmc(chain, reward, horizon, replications, seed)
+        assert (est.mean.hex(), est.ci_half_width.hex(), est.events) == PINNED[name]
+
+
+class TestSuccessorChoice:
+    """Counting a state's thresholds at or below the draw picks the same
+    successor as the first cumulative probability above it."""
+
+    @staticmethod
+    def reference(chain, state, u):
+        # Per-row inversion straight from the generator's sorted rates.
+        picks = []
+        for i, draw in zip(state, u):
+            mine = chain.rows == i
+            cum = np.cumsum(chain.rates[mine])
+            cum /= cum[-1]
+            picks.append(chain.cols[mine][np.argmax(cum > draw)])
+        return np.array(picks, dtype=np.intp)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 16, 29, 40])
+    def test_matches_per_row_argmax(self, width):
+        rng = np.random.default_rng(width)
+        n = width + 5
+        transitions = []
+        for i in range(n):
+            degree = width if i == 0 else int(rng.integers(1, width + 1))
+            targets = rng.choice([j for j in range(n) if j != i], size=degree, replace=False)
+            transitions += [(i, int(j), float(rng.uniform(0.01, 5.0))) for j in targets]
+        chain = build_ctmc(transitions, {i: float(i == 0) for i in range(n)})
+        successors, thresholds = _jump_tables(chain, 2)
+        assert thresholds.shape == (width - 1, n)
+
+        # Zero, every threshold exactly, the float just below each, and
+        # random draws, for every state.
+        state, u = [], []
+        for i in range(n):
+            row = thresholds[:, i][thresholds[:, i] < 1.0]
+            draws = np.concatenate([[0.0], row, np.nextafter(row, 0.0), rng.random(20)])
+            state += [i] * draws.size
+            u.append(draws)
+        state, u = np.array(state, dtype=np.intp), np.concatenate(u)
+        np.testing.assert_array_equal(_successors_of(successors, thresholds, state, u),
+                                      self.reference(chain, state, u))
+
+    def test_draw_on_a_threshold_takes_the_next_column(self):
+        chain = build_ctmc([("hub", "x", 1.0), ("hub", "y", 1.0), ("hub", "z", 2.0)],
+                           {"hub": 1.0, "x": 0.0, "y": 0.0, "z": 0.0})
+        successors, thresholds = _jump_tables(chain, 2)
+        np.testing.assert_array_equal(thresholds[:, 0], [0.25, 0.5])
+        state = np.zeros(5, dtype=np.intp)
+        picks = _successors_of(successors, thresholds, state,
+                               np.array([0.0, 0.2, 0.25, 0.5, 0.9]))
+        assert [chain.states[k] for k in picks] == ["x", "x", "y", "z", "z"]
 
 
 class TestEdgeCases:
@@ -176,6 +291,26 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+    @pytest.mark.parametrize("chain", [
+        absorb_chain(),     # out-degree 1: all retire within two steps, most at once
+        build_ctmc([(i, j, 1.0 + 0.01 * ((7 * i + j) % 11))
+                    for i in range(30) for j in range(30) if i != j],
+                   {i: float(i == 0) for i in range(30)}),   # out-degree 29
+    ], ids=["width-1", "width-29"])
+    def test_estimate_covers_the_traced_peak(self, chain):
+        replications = 20_000
+        reward = np.linspace(0.0, 1.0, chain.n)
+        width = int(np.bincount(chain.rows, minlength=chain.n).max())
+        simulate_ctmc(chain, reward, 2.0, replications=100, seed=1)   # warm caches
+        tracemalloc.start()
+        try:
+            simulate_ctmc(chain, reward, 2.0, replications=replications, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(_footprint(replications, chain.n, width)) >= peak
 
 
 class TestStatistics:
