@@ -30,7 +30,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .ctmc import Ctmc, _check_dense_fits, _check_number, build_ctmc, cumulative_occupancy
+from .ctmc import (Ctmc, _check_memory, _check_number, _dense_arrays, build_ctmc,
+                   cumulative_occupancy)
+from .simulate import _footprint
 from .units import YEAR
 
 __all__ = [
@@ -204,9 +206,20 @@ def build_availability_model(spec: ClusterSpec, rates: AvailRates,
 
 def _model_to_solve(spec: ClusterSpec, rates: AvailRates,
                     parallel_recovery: bool = True) -> AvailabilityModel:
-    """``build_availability_model`` for a chain that will be solved: one too large
-    for the solvers' memory guard is refused unbuilt (the simulator's are not)."""
-    _check_dense_fits(_chain_states(spec, rates))
+    """``build_availability_model`` for a chain that will be solved, refused
+    unbuilt when its dense solve would not fit in memory."""
+    n = _chain_shape(spec, rates)[0]
+    _check_memory("solving", n, _dense_arrays(n))
+    return build_availability_model(spec, rates, parallel_recovery)
+
+
+def _model_to_simulate(spec: ClusterSpec, rates: AvailRates, parallel_recovery: bool,
+                       replications: int) -> AvailabilityModel:
+    """``build_availability_model`` for a chain that will be simulated, refused
+    unbuilt when its build, jump table and batch together would not fit."""
+    n, width = _chain_shape(spec, rates)
+    _check_memory("simulating", n, *_footprint(replications, n, width),
+                  ("the chain build", _BUILD_BYTES * n, "extra_nodes or sert_multiplier"))
     return build_availability_model(spec, rates, parallel_recovery)
 
 
@@ -222,13 +235,14 @@ def availability(model: AvailabilityModel, horizon_s: float) -> AvailabilityRepo
     )
 
 
-def _chain_states(spec: ClusterSpec, rates: AvailRates) -> int:
-    """States of the chain built for ``spec``, known without building it."""
-    if spec.technique == ARA or spec.deployment == CLOUD:
-        return spec.num + spec.op + 1                       # live counts 0..num+op
-    if rates.pool_repair_per_s is None:
-        return (spec.num + 1) * (spec.pool + 1)             # up <= num, pool <= its start
-    return (spec.num + 1) * (spec.num + 2 * spec.pool + 2) // 2   # up <= num, up + pool <= total
+def _chain_shape(spec: ClusterSpec, rates: AvailRates) -> tuple[int, int]:
+    """States of the chain built for ``spec``, and the most moves out of one,
+    known without building it."""
+    if spec.technique == ARA or spec.deployment == CLOUD:   # live counts 0..num+op
+        return spec.num + spec.op + 1, 2 if spec.deployment == CLOUD else 1
+    if rates.pool_repair_per_s is None:                     # up <= num, pool <= its start
+        return (spec.num + 1) * (spec.pool + 1), 2
+    return (spec.num + 1) * (spec.num + 2 * spec.pool + 2) // 2, 3   # up + pool <= total
 
 
 def _birth_death(spec: ClusterSpec, top: int, rates: AvailRates,
@@ -247,6 +261,11 @@ def _birth_death(spec: ClusterSpec, top: int, rates: AvailRates,
             yield u + 1, (down * rho if parallel_recovery else rho)
 
     return _explore(top, moves)
+
+
+# Bytes a state the chain build may hold: tracemalloc peaks at up to 900 for
+# out-degree 2 and 1,270 for on-premises PF with pool repair, from 100 states up.
+_BUILD_BYTES = 1500
 
 
 def _explore(start, moves) -> Ctmc:

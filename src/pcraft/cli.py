@@ -23,13 +23,12 @@ import csv
 import functools
 import sys
 
-from .availability import (ClusterSpec, _chain_states, _model_to_solve, availability,
-                           build_availability_model)
+from .availability import ClusterSpec, _model_to_simulate, _model_to_solve, availability
 from .config import ConfigError, ScenarioConfig, load_config
 from .integrity import build_integrity_model, integrity_breakdown
 from .perf import degradation_ratios, parse_benchmark_csv, saturation_throughput
 from .planner import plan_capacity
-from .simulate import _check_batch_fits, simulate_ctmc
+from .simulate import simulate_ctmc
 from .suites import SUITES, run_suite
 from .variants import NODE_VARIANTS
 
@@ -227,12 +226,11 @@ def _cmd_simulate(args, config: ScenarioConfig):
     replications, seed = config.replications, config.seed
     rows = []
     for variant in _variants_for(config):
-        spec, rates = _cluster_spec(config, variant), config.avail_rates()
-        _check_batch_fits(replications, _chain_states(spec, rates), 1)
-        model = build_availability_model(spec, rates, config.parallel_recovery)
+        model = _model_to_simulate(_cluster_spec(config, variant), config.avail_rates(),
+                                   config.parallel_recovery, replications)
         est = simulate_ctmc(model.ctmc, model.up_reward, config.horizon_s,
                             replications, seed)
-        rows.append([config.technique, config.deployment, variant, spec.num,
+        rows.append([config.technique, config.deployment, variant, model.spec.num,
                      config.extra_nodes, est.mean, est.ci_half_width, est.low, est.high,
                      replications, seed])
     return ("technique", "deployment", "variant", "base", "extra", "mean",

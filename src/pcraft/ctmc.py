@@ -61,6 +61,11 @@ workload) took 0.272, 0.260, 0.272 and 0.321 s with the switch at 64,
 96, 128 and 160 states (median of 5, one OpenBLAS thread, 2-core
 x86_64), so squaring keeps chains of up to 96 states.
 
+Memory is decided in one place, ``_check_memory``: a call sums the bytes
+of the stages it will hold at once (a solve's dense arrays; a
+simulation's chain build, jump table and batch) and is refused, before
+any is allocated, when the sum exceeds physical memory.
+
 Building a chain and the squaring route use numpy alone.  ``scipy`` is
 imported on first use by the two things that need it: the implicit
 route's sparse LU factors and the ``Ctmc.generator`` CSR view.
@@ -249,23 +254,13 @@ def indicator_reward(ctmc: Ctmc, predicate: Callable[[StateLabel], bool]) -> np.
 
 
 def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
-    """State distribution at time ``t`` starting from ``ctmc.initial``.
-
-    Parameters
-    ----------
-    ctmc : Ctmc
-    t : float
-        Nonnegative time in the generator's rate units.
-
-    Returns
-    -------
-    numpy.ndarray
-        Distribution aligned with ``ctmc.states``; sums to one.
-    """
+    """State distribution at a nonnegative time ``t`` (in the generator's rate
+    units) from ``ctmc.initial``, aligned with ``ctmc.states``; it sums to one.
+    A chain whose dense solve could exceed physical memory is refused."""
     q = _uniformization_rate(ctmc, t, allow_zero=True)
     if t == 0.0 or q == 0.0:
         return ctmc.initial.copy()
-    _check_dense_fits(ctmc.n)
+    _check_memory("solving", ctmc.n, _dense_arrays(ctmc.n))
     if _route(ctmc) == "squaring":
         pi = ctmc.initial @ _propagator(ctmc, q, t)
     else:
@@ -275,23 +270,13 @@ def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
 
 
 def cumulative_occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> float:
-    """Expected value of ``int_0^horizon reward(X(s)) ds``.
+    """Expected value, in reward units times time units, of ``int_0^horizon
+    reward(X(s)) ds`` from ``ctmc.initial``, for one finite, nonnegative reward
+    per state and a positive ``horizon`` in the generator's rate units.
 
     With a 0/1 reward this is the expected time spent in the selected
-    states, so dividing by ``horizon`` gives interval availability.
-
-    Parameters
-    ----------
-    ctmc : Ctmc
-    reward : numpy.ndarray
-        One bounded nonnegative reward per state.
-    horizon : float
-        Positive horizon in the generator's rate units.
-
-    Returns
-    -------
-    float
-        Expected accumulated reward (reward units times time units).
+    states, so dividing by ``horizon`` gives interval availability.  A chain
+    whose dense solve could exceed physical memory is refused.
     """
     return float(ctmc.initial @ _occupancy(ctmc, reward, horizon))
 
@@ -315,7 +300,7 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
     q = _uniformization_rate(ctmc, horizon, allow_zero=False)
     if q == 0.0:
         return r * horizon
-    _check_dense_fits(ctmc.n)
+    _check_memory("solving", ctmc.n, _dense_arrays(ctmc.n))
     if _route(ctmc) == "squaring":
         occupancy = _propagator(ctmc, q, horizon, r)
     else:
@@ -556,24 +541,29 @@ def _rescale_occupancy(c: np.ndarray, elapsed: float) -> None:
     c[:, 1] = elapsed
 
 
-def _check_dense_fits(n: int) -> None:
-    """Refuse a solve whose arrays could exceed physical memory.
+def _dense_arrays(n: int) -> tuple[str, int, str]:
+    """A solve's memory stage: squaring's three dense n x n arrays, which the
+    implicit route's LU factors match at full fill (SuperLU's fill is unknown
+    before factoring), so a chain is refused by n alone, at every ``q*t``."""
+    return "the dense arrays", _DENSE_ARRAYS * 8 * n * n, "search_cap, extra_nodes or sert_multiplier"
 
-    Squaring holds three dense n x n float arrays.  The implicit route's
-    real and complex LU factors take as much at full fill, and SuperLU's
-    fill is unknown before factoring, so both routes apply one bound.
-    It depends on n alone, so a chain it refuses is refused at every
-    ``q*t``.
-    """
+
+def _check_memory(action: str, n: int, *stages: tuple[str, int, str]) -> None:
+    """The one memory decision: refuse ``action`` on an ``n``-state chain when
+    its ``(what, bytes, knob)`` stages, held at once, exceed physical memory,
+    naming the total and the largest stage's knob to lower."""
     physical = _physical_memory()
-    if physical is None:
-        return
-    most = math.isqrt(physical // (_DENSE_ARRAYS * 8))   # exact for n of any size
-    if n > most:
+    total = sum(stage[1] for stage in stages)
+    if physical is not None and total > physical:
+        what, size, knob = max(stages, key=lambda stage: stage[1])
         raise ValueError(
-            f"a {n}-state chain is too large to solve: the {physical / 1e9:.1f} GB "
-            f"of physical memory hold the dense arrays of {most} states at most; "
-            f"lower search_cap, extra_nodes or sert_multiplier")
+            f"{action} a {n}-state chain needs about {_gigabytes(total)} at once, more "
+            f"than the {_gigabytes(physical)} of physical memory; the largest part, "
+            f"{what} ({_gigabytes(size)}): lower {knob}")
+
+
+def _gigabytes(size: int) -> str:
+    return "%d.%d GB" % divmod((size + 5 * 10**7) // 10**8, 10)   # exact for ints of any size
 
 
 def _physical_memory() -> int | None:

@@ -12,7 +12,8 @@ seed with another replication count gives a different stream.
 Each successor is found by sequential-search inversion: its column is
 the number of the state's cumulative jump probabilities at or below the
 uniform draw.  Finished replications are retired, and the live arrays
-compacted, only on steps where at least one finishes."""
+compacted, only on steps where at least one finishes.  A call whose jump
+table and batch together exceed physical memory is refused unbuilt."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import (Ctmc, _check_number, _check_reward, _check_time, _physical_memory,
+from .ctmc import (Ctmc, _check_memory, _check_number, _check_reward, _check_time,
                    indicator_reward)
 
 __all__ = ["SimEstimate", "simulate_ctmc"]
@@ -78,7 +79,8 @@ def simulate_ctmc(ctmc: Ctmc, reward, horizon_s: float, replications: int,
     The mean is taken over ``replications`` (an integer, at least 2)
     independent trajectories, each started from the chain's initial
     distribution.  ``seed`` is a nonnegative integer; bools are refused,
-    and so is a call whose batched arrays would exceed physical memory.
+    and so is a call whose jump table and batch together would exceed
+    physical memory.
     """
     if callable(reward):
         reward = indicator_reward(ctmc, reward)
@@ -137,13 +139,13 @@ def _jump_tables(ctmc: Ctmc, replications: int) -> tuple[np.ndarray, np.ndarray]
     last real entry and the padding after it, dropped here, are exactly
     1.0, and a draw in ``[0, 1)`` is at or above ``k`` thresholds exactly
     when its first cumulative entry above it, a real successor, is ``k``.
-    Refuses, before building them, a batch whose tables or
-    per-replication arrays would not fit in memory.
+    Refuses, before building them, tables and a batch that would not fit
+    in memory together.
     """
     n = ctmc.n
     rows, cols, rates = ctmc.rows, ctmc.cols, ctmc.rates   # sorted by (row, col)
     width = max(int(np.bincount(rows, minlength=n).max()), 1)
-    _check_batch_fits(replications, n, width)
+    _check_memory("simulating", n, *_footprint(replications, n, width))
 
     column = np.arange(rows.size) - np.searchsorted(rows, rows)
     successors = np.zeros((n, width), dtype=np.intp)
@@ -165,28 +167,10 @@ def _successors_of(successors: np.ndarray, thresholds: np.ndarray, state: np.nda
     return successors[state * (thresholds.shape[0] + 1) + column]
 
 
-def _footprint(replications: int, n: int, width: int) -> tuple[int, int]:
-    """Bytes of the jump tables and of the batched loop's per-replication
-    arrays, for a chain of ``n`` states and out-degree ``width``."""
-    table = _TABLE_WORDS * 8 * n * width
+def _footprint(replications: int, n: int, width: int) -> tuple[tuple[str, int, str], ...]:
+    """Memory stages of a simulation on a chain of ``n`` states and out-degree
+    ``width``: its jump tables and its batched loop's per-replication arrays."""
     batch = (8 * _WORDS_PER_REPLICATION + _BYTES_PER_THRESHOLD * (width - 1)) * replications
-    return table, batch
-
-
-def _check_batch_fits(replications: int, n: int, width: int) -> None:
-    """Refuse a simulation whose batched arrays exceed physical memory; ``width``
-    may be a lower bound on the out-degree, for a chain not yet built."""
-    physical = _physical_memory()
-    if physical is None:
-        return
-    table, batch = _footprint(replications, n, width)
-    if table > physical:
-        raise ValueError(
-            f"a {n}-state chain needs at least {table // 10**9} GB for its jump "
-            f"table of at least {width} entries a state, more than the "
-            f"{physical / 1e9:.0f} GB of physical memory")
-    if batch > physical:
-        raise ValueError(
-            f"replications={replications} needs about {batch // 10**9} GB "
-            f"for the batched simulation, more than the {physical / 1e9:.0f} "
-            f"GB of physical memory; lower replications")
+    return ((f"the jump table of {width} entries a state", _TABLE_WORDS * 8 * n * width,
+             "extra_nodes or sert_multiplier"),
+            (f"replications={replications} in one batch", batch, "replications"))

@@ -19,7 +19,7 @@ from pcraft import (
     build_pf_model,
     nines,
 )
-from pcraft.availability import _chain_states, _model_to_solve
+from pcraft.availability import _chain_shape, _model_to_solve
 from pcraft.units import YEAR
 
 # (1 - exp(-1)): one-node on-premises interval availability at 1 crash/year.
@@ -279,14 +279,19 @@ class TestValidation:
     @pytest.mark.parametrize("deployment", [CLOUD, ON_PREMISES])
     @pytest.mark.parametrize("technique", [PF, ARA])
     def test_chain_size_is_known_before_building(self, technique, deployment, repair):
-        # The solving paths refuse an oversized chain from this count alone.
+        # The solving and simulating paths refuse an oversized chain from its
+        # state count and out-degree bound alone; the bound is reached.
         rates = AvailRates(2.0, 1.0 / 15.0, repair)
+        widths = set()
         for num in range(1, 6):
             for extra in range(5):
                 spec = ClusterSpec.with_extra(technique, deployment, num, extra)
+                states, width = _chain_shape(spec, rates)
                 for parallel in (True, False):
-                    built = build_availability_model(spec, rates, parallel).ctmc.n
-                    assert _chain_states(spec, rates) == built, (spec, parallel)
+                    built = build_availability_model(spec, rates, parallel).ctmc
+                    assert states == built.n, (spec, parallel)
+                    widths.add(int(np.bincount(built.rows, minlength=built.n).max()))
+        assert max(widths) == width
 
     @pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf])
     def test_rejects_bad_horizon(self, horizon):

@@ -314,8 +314,8 @@ class TestChainsPastTheSolveGuard:
         monkeypatch.setattr(sys.modules["pcraft.availability"], "build_ctmc", build_ctmc)
         code, out, err = run([command, "--config", cfg], capsys)
         assert (code, out) == (1, "")
-        assert f"a {limit + 1}-state chain is too large to solve" in err
-        assert f"arrays of {limit} states at most" in err and "sert_multiplier" in err
+        assert f"solving a {limit + 1}-state chain needs about" in err
+        assert "the dense arrays" in err and "sert_multiplier" in err
 
     def test_simulate_runs_it(self, just_past, capsys):
         limit, cfg = just_past
@@ -328,15 +328,21 @@ class TestChainsPastTheSolveGuard:
 
 class TestChainsPastTheSimulatorGuard:
     """``pcraft simulate`` sizes the chain by its spec and refuses, unbuilt,
-    one whose jump table cannot fit in physical memory."""
+    one whose build, jump table and batch together cannot fit in physical
+    memory."""
 
-    @pytest.mark.parametrize("key, value, states", [
-        ("sert_multiplier", "1e300", int(1e300) + 1),   # native: one node per unit of load
-        ("extra_nodes", "1" + "0" * 400, 10**400 + 11),  # base 10 at the default sert 10
-    ], ids=["sert_multiplier", "extra_nodes"])
-    def test_refuses_it_before_building(self, key, value, states, tmp_path, capsys,
+    @pytest.mark.parametrize("key, value, states, physical", [
+        ("sert_multiplier", "1e300", int(1e300) + 1, None),   # native: one node per unit of load
+        ("extra_nodes", "1" + "0" * 400, 10**400 + 11, None),  # base 10 at the default sert 10
+        # In 100 MB the jump table (under 10 MB) fits, but not the Python build.
+        ("sert_multiplier", "200000", 200_001, 10**8),
+        ("extra_nodes", "200000", 200_011, 10**8),
+    ], ids=["sert_multiplier", "extra_nodes", "sert_multiplier-100MB", "extra_nodes-100MB"])
+    def test_refuses_it_before_building(self, key, value, states, physical, tmp_path, capsys,
                                         monkeypatch):
-        if pcraft.ctmc._physical_memory() is None:
+        if physical is not None:
+            monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: physical)
+        elif pcraft.ctmc._physical_memory() is None:
             pytest.skip("physical memory is unknown on this system")
 
         def build_ctmc(*args):
@@ -351,7 +357,8 @@ class TestChainsPastTheSimulatorGuard:
         """)
         code, out, err = run(["simulate", "--config", cfg], capsys)
         assert (code, out) == (1, "")
-        assert f"a {states}-state chain needs at least" in err and "jump table" in err
+        assert f"simulating a {states}-state chain needs about" in err
+        assert "the chain build" in err and key in err
 
 
 class TestIntegrity:

@@ -537,6 +537,20 @@ class TestOccupancyKernel:
             tracemalloc.stop()
         assert peak < 64e6
 
+    def test_solve_limit_is_exact(self, monkeypatch):
+        # 24 * 100**2 bytes hold the three dense arrays of a 100-state solve.
+        monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: 24 * 100**2)
+        for n in (100, 101):
+            chain = build_ctmc([(i, i + 1, 1.0) for i in range(n - 1)],
+                               {i: float(i == 0) for i in range(n)})
+            reward = np.ones(n)
+            if n == 100:
+                assert cumulative_occupancy(chain, reward, 2.0) == pytest.approx(2.0)
+            else:
+                with pytest.raises(ValueError, match=r"solving a 101-state chain needs about "
+                                                     r".*dense arrays.*lower search_cap"):
+                    cumulative_occupancy(chain, reward, 2.0)
+
 
 class TestImplicitRoute:
     """Radau IIA: its constants, its failure mode and its output ranges."""

@@ -113,8 +113,8 @@ def test_no_orphaned_private_names():
 
 
 def test_physical_memory_is_read_in_one_place():
-    # Both memory guards size the machine through one helper, so they
-    # cannot disagree on its size or on what to do without sysconf.
+    # The machine is sized through one helper, so no two memory decisions
+    # can disagree on its size or on what to do without sysconf.
     inside, outside = 0, []
     for path in MODULES:
         tree = parse(path)
@@ -129,6 +129,23 @@ def test_physical_memory_is_read_in_one_place():
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
     assert inside and not outside, f"os.sysconf read outside _physical_memory: {outside}"
+    # ... and only the one memory checker asks it, so every stage's bytes are
+    # summed and compared in one place.
+    callers = sorted({f"{path.stem}.{func.name}" for path in MODULES
+                      for func in ast.walk(parse(path)) if isinstance(func, ast.FunctionDef)
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and "_physical_memory" in (
+                          getattr(node.func, "id", None), getattr(node.func, "attr", None))})
+    assert callers == ["ctmc._check_memory"], f"_physical_memory called by {callers}"
+
+
+def test_cli_imports_nothing_private_from_the_simulator():
+    # The CLI sizes a simulation through pcraft.availability, not through
+    # the simulator's internals.
+    private = [alias.name for node in ast.walk(parse(PACKAGE / "cli.py"))
+               if isinstance(node, ast.ImportFrom) and node.module in ("simulate", "pcraft.simulate")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"cli.py imports private simulator names: {private}"
 
 
 def test_chains_are_checked_in_one_place():
@@ -282,13 +299,13 @@ def test_availability_builds_chains_only_through_explore():
 
 
 def test_solved_chains_are_sized_before_they_are_built():
-    # The public builder serves the simulator, which runs chains the
-    # solvers refuse; every other caller builds through _model_to_solve.
+    # The public builder builds chains of any size; every caller in the
+    # package builds through _model_to_solve or _model_to_simulate.
     users = sorted({(path.stem, func.name) for path in MODULES if path.stem != "availability"
                     for func in ast.walk(parse(path)) if isinstance(func, ast.FunctionDef)
                     for node in ast.walk(func)
                     if isinstance(node, ast.Name) and node.id == "build_availability_model"})
-    assert users == [("cli", "_cmd_simulate")], f"unsized builds: {users}"
+    assert users == [], f"unsized builds: {users}"
 
 
 def test_no_public_function_takes_a_tolerance():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from pcraft import build_ctmc, simulate_ctmc
-from pcraft.availability import (ARA, CLOUD, ON_PREMISES, PF, AvailRates, ClusterSpec,
+from pcraft.availability import (ARA, CLOUD, ON_PREMISES, PF, _BUILD_BYTES, AvailRates,
+                                 ClusterSpec, _chain_shape, _model_to_simulate,
                                  build_availability_model)
-from pcraft.ctmc import Ctmc
+from pcraft.ctmc import Ctmc, _check_memory
 from pcraft.simulate import _footprint, _jump_tables, _successors_of
 from pcraft.units import YEAR
 
@@ -285,32 +286,61 @@ class TestMemoryGuard:
         chain = Ctmc(tuple(range(n)), rows, cols, np.ones(2 * (n - 1)), initial)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"200000-state.*GB.*at least 199999 entries a state"):
+            with pytest.raises(ValueError, match=r"200000-state.*GB.*jump table of 199999 entries a state"):
                 simulate_ctmc(chain, np.zeros(n), 1.0, replications=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
 
+    def test_refuses_stages_that_fit_only_one_at_a_time(self, monkeypatch):
+        # 10**6 replications on a 500,000-state chain of out-degree 40: the
+        # 480 MB table and the 463 MB batch each fit in 566 MB, not together.
+        monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: 566 * 10**6)
+        stages = _footprint(10**6, 500_000, 40)
+        assert [size for _, size, _ in stages] == [480 * 10**6, 463 * 10**6]
+        with pytest.raises(ValueError, match=r"500000-state chain needs about 0\.9 GB at "
+                                             r"once, more than the 0\.6 GB of physical"):
+            _check_memory("simulating", 500_000, *stages)
 
-    @pytest.mark.parametrize("chain", [
+    @pytest.mark.parametrize("case", [
         absorb_chain(),     # out-degree 1: all retire within two steps, most at once
         build_ctmc([(i, j, 1.0 + 0.01 * ((7 * i + j) % 11))
                     for i in range(30) for j in range(30) if i != j],
                    {i: float(i == 0) for i in range(30)}),   # out-degree 29
-    ], ids=["width-1", "width-29"])
-    def test_estimate_covers_the_traced_peak(self, chain):
-        replications = 20_000
-        reward = np.linspace(0.0, 1.0, chain.n)
-        width = int(np.bincount(chain.rows, minlength=chain.n).max())
-        simulate_ctmc(chain, reward, 2.0, replications=100, seed=1)   # warm caches
+        # Built from the spec by the CLI's path, and charged for the build too.
+        (ClusterSpec(ARA, CLOUD, num=2_000), AvailRates(6.0, 1.0 / 15.0)),
+        (ClusterSpec(ARA, CLOUD, num=20_000), AvailRates(6.0, 1.0 / 15.0)),
+        (ClusterSpec(PF, ON_PREMISES, num=20, pool=90), AvailRates(6.0, 0.1, 1e-3)),
+        (ClusterSpec(PF, ON_PREMISES, num=20, pool=1_000), AvailRates(6.0, 0.1, 1e-3)),
+    ], ids=["width-1", "width-29", "cloud-ara-2001", "cloud-ara-20001", "pf-repair-2121",
+            "pf-repair-21231"])
+    def test_estimate_covers_the_traced_peak(self, case, monkeypatch):
+        # The summed charge holds what the call holds at its peak: with one
+        # byte less of physical memory than tracemalloc saw, it is refused.
+        build_peaks = []
+
+        def run(replications):
+            if isinstance(case, Ctmc):
+                chain, reward = case, np.linspace(0.0, 1.0, case.n)
+            else:
+                model = _model_to_simulate(*case, True, replications)
+                chain, reward = model.ctmc, model.up_reward
+                build_peaks.append(tracemalloc.get_traced_memory()[1])
+            simulate_ctmc(chain, reward, 2.0, replications, seed=1)
+
+        run(100)   # warm caches
         tracemalloc.start()
         try:
-            simulate_ctmc(chain, reward, 2.0, replications=replications, seed=1)
+            run(20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(_footprint(replications, chain.n, width)) >= peak
+        if build_peaks:   # the build constant alone covers the build's peak
+            assert _BUILD_BYTES * _chain_shape(*case)[0] >= build_peaks[-1]
+        monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: peak - 1)
+        with pytest.raises(ValueError, match="simulating"):
+            run(20_000)
 
 
 class TestStatistics:
