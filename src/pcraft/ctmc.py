@@ -39,19 +39,21 @@ beyond a logarithm.
   stages, order 7; Reibman & Trivedi 1988, Malhotra, Muppala & Trivedi
   1994; Hairer & Wanner, *Solving ODEs II*, IV.5), each two complex
   sparse LU solves.  Its cost does not grow with ``q*t``: the stiff
-  components decay within a step.  The step count is doubled, or sized
-  from the error estimate, until runs of N and 2N steps agree.
-  Occupancy is integrated as the complement ``max(r) - r`` of the
-  reward, so that the estimate is relative to the small downtime-style
-  quantity, down to the rounding floor of the LU solves.
+  components decay within a step.  The step count doubles from 16, each
+  fine run serving as the next coarse one, until runs of N and 2N steps
+  agree.  Occupancy is integrated as the complement ``max(r) - r`` of
+  the reward, so that the estimate is relative to the small
+  downtime-style quantity, down to the rounding floor of the LU solves.
 
-Accuracy is fixed, not a parameter.  Each squaring base step drops
-1e-15 of Poisson mass.  The implicit route bounds the estimated error of
-each probability, and of each start's occupancy complement
-``max(reward) * horizon - occupancy``, by ``_IMPLICIT_TOL`` (1e-10)
-relative to that quantity.  The solve's rounding floor ``n * eps *
-max(reward) * horizon`` caps what it can meet: a complement below that
-floor over ``_IMPLICIT_TOL`` is met to the floor, an absolute error.
+Accuracy is fixed, not a parameter, and both routes meet one bound:
+from every start, the occupancy complement ``max(r) * T - occupancy``
+is within ``max(1e-10 * complement, n * eps * max(r) * T)`` of its
+exact value, relative to the downtime-style quantity down to the
+rounding floor of an n-state solve (checked against 30-digit mpmath on
+both routes).  Each squaring base step drops 1e-15 of Poisson mass; the
+implicit route stops once the estimated error of each complement is
+within ``_IMPLICIT_TOL`` (1e-10) of the larger of it and the floor, and
+that of each probability of a distribution within 1e-10.
 
 The implicit route's floor of 48 steps and four complex factorizations
 costs more than the n**3 products of squaring on small chains, and less
@@ -121,7 +123,6 @@ _RADAU_RESIDUES = (13.301539995971487 - 60.07173273704744j,
 _RADAU_ORDER = 7
 _RADAU_ERROR_DIVISOR = 2.0 ** _RADAU_ORDER - 1.0   # Richardson estimate from N and 2N steps
 _IMPLICIT_FIRST_STEPS = 16
-_IMPLICIT_STEP_SAFETY = 1.2     # next pair sized for an estimate 1.2**order below tol
 _IMPLICIT_MAX_STEPS = 4096
 
 
@@ -262,10 +263,9 @@ def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
         return ctmc.initial.copy()
     _check_memory("solving", ctmc.n, _dense_arrays(ctmc.n))
     if _route(ctmc) == "squaring":
-        pi = ctmc.initial @ _propagator(ctmc, q, t)
+        pi = ctmc.initial @ _propagator(ctmc, q, t, np.zeros(ctmc.n))[0]
     else:
-        pi = np.maximum(
-            _radau(ctmc.generator.T, ctmc.initial, t, _IMPLICIT_TOL, q * t, 1.0), 0.0)
+        pi = np.maximum(_radau(ctmc.generator.T, ctmc.initial, t, q * t, 1.0), 0.0)
     return pi / pi.sum()
 
 
@@ -302,9 +302,9 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
         return r * horizon
     _check_memory("solving", ctmc.n, _dense_arrays(ctmc.n))
     if _route(ctmc) == "squaring":
-        occupancy = _propagator(ctmc, q, horizon, r)
+        occupancy = _propagator(ctmc, q, horizon, r)[1]
     else:
-        occupancy = _implicit_occupancy(ctmc, r, horizon, _IMPLICIT_TOL, q * horizon)
+        occupancy = _implicit_occupancy(ctmc, r, horizon, q * horizon)
     # Either route can land an ulp outside the reward range.
     return np.clip(occupancy, 0.0, r.max() * horizon)
 
@@ -386,7 +386,7 @@ def _base_step_terms(qt: float) -> tuple[np.ndarray, np.ndarray]:
     return w[:last + 1], tails[:last + 1]
 
 
-def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
+def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float,
                         qt: float) -> np.ndarray:
     """Occupancy from each start by Radau IIA on the complement of the reward.
 
@@ -394,19 +394,19 @@ def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float, tol: float,
     solves ``v' = Q v + d`` from ``v(0) = 0``; integrating it makes the
     error estimate relative to the small downtime-style quantity.  The
     LU solves leave rounding noise of up to about ``n * eps * max(r) *
-    t`` in every complement, so one below ``noise / tol`` is met to
-    ``noise`` rather than to ``tol`` of itself: a start absorbing at
-    ``max(r)``, whose complement is exactly zero, or one holding so many
-    spares that its complement is 1e-13 of ``max(r) * t``.
+    t`` in every complement, so one below ``noise / _IMPLICIT_TOL`` is
+    met to ``noise`` rather than to ``_IMPLICIT_TOL`` of itself: a start
+    absorbing at ``max(r)``, whose complement is exactly zero, or one
+    holding so many spares that its complement is 1e-13 of ``max(r) * t``.
     """
     top = float(reward.max())
     noise = ctmc.n * np.finfo(float).eps * top * t
-    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, tol, qt, noise / tol, top - reward)
+    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, qt, noise / _IMPLICIT_TOL, top - reward)
     return top * t - v
 
 
-def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
-           floor: float, forcing: np.ndarray | None = None) -> np.ndarray:
+def _radau(a, z0: np.ndarray, t: float, qt: float, floor: float,
+           forcing: np.ndarray | None = None) -> np.ndarray:
     """``z(t)`` of ``z' = a z + forcing`` by ``N`` equal Radau IIA steps.
 
     ``a`` is a scipy sparse matrix, ``Q`` or its transpose.
@@ -417,12 +417,13 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
     and keeps the sparse factors of ``h a - pole I`` free of a dense
     column.  Steps of one size share the two factorizations.
 
-    Runs of ``N`` and ``2N`` steps give the order-7 estimate ``|z_N -
-    z_2N| / 127`` of each entry's error in ``z_2N``, which is returned once
-    every estimate is at most ``tol * max(|z_2N|, floor)``: relative to
-    the entry, but never finer than ``tol * floor``, such as the rounding
-    noise the solves leave, which no step count removes.  Otherwise the
-    estimate, falling like ``N**-7``, sizes the next pair; a pair beyond
+    ``N`` doubles from ``_IMPLICIT_FIRST_STEPS``, and each fine run is
+    the next coarse one.  Runs of ``N`` and ``2N`` steps give the order-7
+    estimate ``|z_N - z_2N| / 127`` of each entry's error in ``z_2N``,
+    which is returned once every estimate is at most ``_IMPLICIT_TOL *
+    max(|z_2N|, floor)``: relative to the entry, but never finer than
+    ``_IMPLICIT_TOL * floor``, such as the rounding noise the solves
+    leave, which no step count removes.  A run beyond
     ``_IMPLICIT_MAX_STEPS`` fails the solve.
     """
     from scipy.sparse import csc_matrix, identity
@@ -454,30 +455,24 @@ def _radau(a, z0: np.ndarray, t: float, tol: float, qt: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(estimate == 0.0, 0.0, estimate / scale)
         worst = float(ratio.max())   # a NaN fails every test below
-        if worst <= tol:
+        if worst <= _IMPLICIT_TOL:
             return fine
-        target = steps * (worst / tol) ** (1.0 / _RADAU_ORDER) * _IMPLICIT_STEP_SAFETY
-        grown = (2 * steps if target <= 2 * steps
-                 else math.ceil(min(_IMPLICIT_MAX_STEPS, target)))
-        if 2 * grown > _IMPLICIT_MAX_STEPS:
+        if 4 * steps > _IMPLICIT_MAX_STEPS:
             raise ArithmeticError(
                 f"implicit solve of a {n}-state chain at q*t = {qt:.3g} did "
                 f"not converge: relative error estimate {worst:.2e} after "
-                f"{2 * steps} steps exceeds tolerance {tol:.1e}")
-        coarse = fine if grown == 2 * steps else advance(grown)
-        steps = grown
+                f"{2 * steps} steps exceeds tolerance {_IMPLICIT_TOL:.1e}")
+        coarse, steps = fine, 2 * steps
 
 
 def _propagator(ctmc: Ctmc, q: float, t: float,
-                reward: np.ndarray | None = None) -> np.ndarray:
-    """Repeated squaring: dense ``exp(Q t)``, or ``int_0^t exp(Q s) ds @ reward``.
+                reward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Repeated squaring: dense ``M = exp(Q t)`` and ``int_0^t exp(Q s) ds @ reward``.
 
-    With a reward, the occupancy integral ``C`` is never formed: the
-    block ``c = [C r, C 1]`` doubles as ``c += M c`` and is brought back
-    to rows summing to the elapsed time by rescaling ``C r`` by
-    ``dt / C 1``, which is the row renormalisation of ``C`` applied
-    after the product with ``r``.  The last squaring of ``M`` is then
-    not needed.
+    One Poisson series builds both over the base step, and one loop
+    doubles both.  The occupancy integral ``C`` is never formed: the
+    block ``c = [C r, C 1]`` doubles as ``c += M c``, ahead of ``M = M
+    M``.  ``transient_distribution`` passes a zero reward and reads ``M``.
     """
     n = ctmc.n
     levels = _squaring_levels(q * t)
@@ -494,49 +489,35 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
     # weighted by the Poisson tails.
     power = np.eye(n)
     m_mat = np.zeros((n, n))
-    if reward is not None:
-        u = np.column_stack([reward, np.ones(n)])
-        c = np.zeros((n, 2))
+    u = np.column_stack([reward, np.ones(n)])
+    c = np.zeros((n, 2))
     for k in range(right + 1):
         m_mat += w[k] * power
-        if reward is not None:
-            c += (tails[k] / q) * u
+        c += (tails[k] / q) * u
         if k < right:
             power = p_step @ power
-            if reward is not None:
-                u = p_step @ u
+            u = p_step @ u
     del power   # free it before the squaring allocates
-    _renormalize(m_mat)
-
-    if reward is None:
-        for _ in range(levels):
-            m_mat = m_mat @ m_mat
-            _renormalize(m_mat)
-        return m_mat
-
-    _rescale_occupancy(c, dt)
-    for level in range(levels):
+    _restore(m_mat, c, dt)
+    for _ in range(levels):
         c += m_mat @ c
+        m_mat = m_mat @ m_mat
         dt *= 2.0
-        _rescale_occupancy(c, dt)
-        if level + 1 < levels:
-            m_mat = m_mat @ m_mat
-            _renormalize(m_mat)
-    return c[:, 0]
+        _restore(m_mat, c, dt)
+    return m_mat, c[:, 0]
 
 
-def _renormalize(mat: np.ndarray) -> None:
-    """Rows back to sum one, then entries below ``_FLUSH`` to zero.
+def _restore(m_mat: np.ndarray, c: np.ndarray, elapsed: float) -> None:
+    """Restore the row sums: ``M`` stochastic, ``C 1`` the elapsed time.
 
-    No product of two kept entries is then subnormal, which would slow
-    the next squaring several times over; the mass dropped is at most
-    ``n * _FLUSH`` per row.
+    ``C r`` is rescaled by ``elapsed / C 1``, the row renormalisation of
+    ``C`` applied after the product with ``r``.  Entries of ``M`` below
+    ``_FLUSH`` then go to zero, so no product of two kept entries is
+    subnormal, which would slow the next squaring several times over;
+    the mass dropped is at most ``n * _FLUSH`` per row.
     """
-    mat /= mat.sum(axis=1, keepdims=True)
-    mat[mat < _FLUSH] = 0.0
-
-
-def _rescale_occupancy(c: np.ndarray, elapsed: float) -> None:
+    m_mat /= m_mat.sum(axis=1, keepdims=True)
+    m_mat[m_mat < _FLUSH] = 0.0
     c[:, 0] *= elapsed / c[:, 1]
     c[:, 1] = elapsed
 

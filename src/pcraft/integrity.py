@@ -122,7 +122,7 @@ def integrity_breakdown(model: Ctmc, horizon_s: float) -> IntegrityReport:
         model, indicator_reward(model, lambda s: s in ("Crash", "Retry")),
         horizon_s) / horizon_s
     return IntegrityReport(
-        correct=1.0 - corrupt_frac - down_frac,
+        correct=max(0.0, 1.0 - corrupt_frac - down_frac),   # can round to -1e-16
         corrupt=corrupt_frac,
         down=down_frac,
         horizon_s=horizon_s,

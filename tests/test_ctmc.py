@@ -440,12 +440,12 @@ class TestOccupancyKernel:
         q = 1.02 * float(chain.exit_rates.max())
         for qt in (50.0, 700.0, 3000.0, 1e6):
             t = qt / q
-            squaring = _propagator(chain, q, t, reward)
-            implicit = _implicit_occupancy(chain, reward, t, 1e-10, qt)
+            squaring = _propagator(chain, q, t, reward)[1]
+            implicit = _implicit_occupancy(chain, reward, t, qt)
             complement = reward.max() * t - squaring
             assert np.max(np.abs(implicit - squaring) / complement) <= 1e-9
-            pi_squaring = chain.initial @ _propagator(chain, q, t)
-            pi_implicit = _radau(chain.generator.T, chain.initial, t, 1e-10, qt, 1.0)
+            pi_squaring = chain.initial @ _propagator(chain, q, t, np.zeros(n))[0]
+            pi_implicit = _radau(chain.generator.T, chain.initial, t, qt, 1.0)
             assert np.max(np.abs(pi_implicit - pi_squaring)) <= 1e-10
 
     def test_cumulative_is_initial_times_each_start(self):
@@ -573,7 +573,7 @@ class TestImplicitRoute:
                                               rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_tol_bounds_every_start_relative_to_its_complement(self, tol):
+    def test_tol_bounds_every_start_relative_to_its_complement(self, tol, monkeypatch):
         # The complements (expected downtimes) span 0.96 to 4.3e-5 of the
         # horizon; tol must hold for each start, not just the largest.
         model = pf_family(64)
@@ -581,8 +581,9 @@ class TestImplicitRoute:
         reference = horizon - occupancy_from_each_start(
             model.ctmc, model.up_reward, horizon)
         q = 1.02 * float(model.ctmc.exit_rates.max())
+        monkeypatch.setattr(ctmc_module, "_IMPLICIT_TOL", tol)
         loose = horizon - _implicit_occupancy(
-            model.ctmc, model.up_reward, horizon, tol, q * horizon)
+            model.ctmc, model.up_reward, horizon, q * horizon)
         assert np.max(np.abs(loose - reference) / reference) <= tol
 
     @pytest.mark.parametrize("horizon", [1e4, 1e6])
@@ -597,8 +598,8 @@ class TestImplicitRoute:
         reward = np.zeros(n)
         reward[-1] = 1.0
         q = 1.02 * float(chain.exit_rates.max())
-        squaring = _propagator(chain, q, horizon, reward)
-        implicit = _implicit_occupancy(chain, reward, horizon, 1e-10, q * horizon)
+        squaring = _propagator(chain, q, horizon, reward)[1]
+        implicit = _implicit_occupancy(chain, reward, horizon, q * horizon)
         assert implicit == pytest.approx(squaring, rel=1e-12)
         assert _route(chain) == "implicit"
         assert cumulative_occupancy(chain, reward, horizon) == pytest.approx(
@@ -640,8 +641,8 @@ class TestImplicitRoute:
         down = indicator_reward(chain, lambda s: s in ("Crash", "Retry"))
         horizon = hours * HOUR
         q = 1.02 * float(chain.exit_rates.max())
-        squaring = _propagator(chain, q, horizon, down)
-        implicit = _implicit_occupancy(chain, down, horizon, 1e-10, q * horizon)
+        squaring = _propagator(chain, q, horizon, down)[1]
+        implicit = _implicit_occupancy(chain, down, horizon, q * horizon)
         assert implicit == pytest.approx(squaring, rel=1e-10)
 
     def test_unconverged_solve_raises(self, monkeypatch):
@@ -669,7 +670,7 @@ class TestImplicitRoute:
         chain = pf_family(32, repair_per_h=1.0).ctmc
         qt = 1.02 * float(chain.exit_rates.max()) * YEAR
         assert chain.n == 648 and _route(chain) == "implicit"
-        raw = _radau(chain.generator.T, chain.initial, YEAR, 1e-10, qt, 1.0)
+        raw = _radau(chain.generator.T, chain.initial, YEAR, qt, 1.0)
         assert raw.min() < 0.0
         pi = transient_distribution(chain, YEAR)
         assert pi.min() >= 0.0
@@ -686,6 +687,75 @@ class TestImplicitRoute:
         assert occ.min() == 0.0 and occ.max() == horizon
         inside = (complement >= 0.0) & (complement <= horizon)
         assert np.array_equal(occ[inside], horizon - complement[inside])
+
+    def test_step_counts_only_double(self, monkeypatch):
+        # On-premises ARA, 10 needed of 175 nodes, 1.5 crashes/yr over a
+        # year.  Every factorization's step count is read back from an
+        # off-diagonal entry of h Q - pole I divided by its rate.
+        import scipy.sparse.linalg
+
+        model = build_availability_model(
+            ClusterSpec("ARA", "on-premises", num=10, op=165), AvailRates(1.5, 1.0 / 15.0))
+        chain = model.ctmc
+        assert chain.n == 176 and _route(chain) == "implicit"
+        row, col, rate = chain.rows[0], chain.cols[0], chain.rates[0]
+        counts = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting_splu(matrix, *args, **kwargs):
+            counts.append(round(YEAR * rate / matrix[row, col].real))
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        occupancy_from_each_start(chain, model.up_reward, YEAR)
+        assert counts == [16, 16, 32, 32, 64, 64, 128, 128]
+
+
+# Five one-year availability chains (n = 25, 5, 12, 9, 12).
+ACCURACY_CHAINS = {
+    "cloud ARA 20+4": (ClusterSpec("ARA", "cloud", num=20, op=4), AvailRates(6.0, 1.0 / 1800.0)),
+    "cloud ARA 3+1": (ClusterSpec("ARA", "cloud", num=3, op=1), AvailRates(1.0, 1.0 / 60.0)),
+    "cloud ARA 10+1": (ClusterSpec("ARA", "cloud", num=10, op=1), AvailRates(6.0, 1.0 / 15.0)),
+    "on-premises ARA 5+3": (ClusterSpec("ARA", "on-premises", num=5, op=3),
+                            AvailRates(2.0, 1.0 / 15.0)),
+    "on-premises PF 2+2, 1/h repair": (ClusterSpec("PF", "on-premises", num=2, pool=2),
+                                       AvailRates(6.0, 1.0 / 15.0, 1.0 / HOUR)),
+}
+
+
+class TestAccuracyBound:
+    """The one bound of the module docstring, on both routes, against mpmath."""
+
+    @staticmethod
+    def van_loan_complement(chain, reward, horizon):
+        """``max(r) T - occupancy`` from each start at 30 digits: the last
+        column of ``expm([[Q T, (max(r) - r) T], [0, 0]])``."""
+        import mpmath
+
+        n = chain.n
+        generator = chain.generator.toarray()
+        gap = reward.max() - reward
+        with mpmath.workdps(30):
+            block = mpmath.zeros(n + 1, n + 1)
+            for i in range(n):
+                for j in np.flatnonzero(generator[i]):
+                    block[i, j] = mpmath.mpf(float(generator[i, j])) * horizon
+                block[i, n] = mpmath.mpf(float(gap[i])) * horizon
+            exp = mpmath.expm(block)
+            return np.array([float(exp[i, n]) for i in range(n)])
+
+    @pytest.mark.parametrize("name", ACCURACY_CHAINS)
+    def test_both_routes_meet_the_bound(self, name):
+        model = build_availability_model(*ACCURACY_CHAINS[name])
+        chain, up = model.ctmc, model.up_reward
+        exact = self.van_loan_complement(chain, up, YEAR)
+        bound = np.maximum(1e-10 * exact, chain.n * np.finfo(float).eps * up.max() * YEAR)
+        assert _route(chain) == "squaring"
+        squaring = up.max() * YEAR - occupancy_from_each_start(chain, up, YEAR)
+        qt = 1.02 * float(chain.exit_rates.max()) * YEAR
+        implicit = up.max() * YEAR - _implicit_occupancy(chain, up, YEAR, qt)
+        assert np.all(np.abs(squaring - exact) <= bound)
+        assert np.all(np.abs(implicit - exact) <= bound)
 
 
 def _transitions_of(chain):

@@ -18,7 +18,7 @@ from pcraft.integrity import (
     RETRY_SECONDS,
     SDC_RECOVERY_SECONDS,
 )
-from pcraft.units import DAY, MONTH
+from pcraft.units import DAY, MONTH, YEAR
 
 # Frozen from an eigendecomposition of the generator (independent of the
 # uniformization engine): fractions of a month spent in each condition.
@@ -168,6 +168,15 @@ class TestBreakdown:
             assert 0.0 <= report.corrupt < 0.1
             assert 0.0 <= report.down < 0.01
             assert report.correct > 0.9
+
+    @pytest.mark.parametrize("variant", sorted(NODE_VARIANTS))
+    def test_shares_stay_in_range_at_an_extreme_fault_rate(self, variant):
+        # At 1e300 faults a month over a year, 1 - corrupt - down rounds
+        # to -1.1e-16 for native and ft_ilr.
+        report = integrity_breakdown(cloud_model(variant, 1e300 / MONTH), YEAR)
+        shares = (report.correct, report.corrupt, report.down)
+        assert all(0.0 <= share <= 1.0 for share in shares)
+        assert sum(shares) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_eigen_oracle_on_random_rates(self):
         rng = np.random.default_rng(20260825)
