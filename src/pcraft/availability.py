@@ -19,6 +19,14 @@ transitions are multiplied by the number of pending repairs (every node
 recovers in parallel).  ``parallel_recovery=False`` switches to a single
 repair facility for sensitivity studies.  Every chain is built one way:
 as the states reachable from the all-up start under its moves.
+
+An on-premises PF chain can be cut at a depth: the states where many
+nodes await failover at once carry almost no probability, and a crash
+past the depth goes to an absorbing ``SINK`` instead.  Counting the sink
+as down gives a lower bound on the up-time, counting it as up an upper
+bound (finite state projection: Munsky & Khammash, *J. Chem. Phys.*
+124, 2006; bounds as in Muntz, de Souza e Silva & Goyal, *IEEE TC*,
+1989).
 """
 
 from __future__ import annotations
@@ -39,7 +47,9 @@ __all__ = [
     "ARA",
     "PF",
     "CLOUD",
+    "DOWN",
     "ON_PREMISES",
+    "SINK",
     "AvailRates",
     "AvailabilityModel",
     "AvailabilityReport",
@@ -57,6 +67,10 @@ CLOUD = "cloud"
 ON_PREMISES = "on-premises"
 
 MAX_NINES = 12.0
+
+# The absorbing states of a cut on-premises PF chain; both count as down.
+SINK = "sink"   # a crash past the depth
+DOWN = "down"   # no pool repair: every pool-exhausted state with a node down
 
 
 @dataclass(frozen=True)
@@ -147,22 +161,35 @@ def nines(avail: float) -> float:
     return min(0.0 - math.log10(1.0 - avail), MAX_NINES)   # +0.0, never -0.0
 
 
-def build_pf_model(spec: ClusterSpec, rates: AvailRates,
-                   parallel_recovery: bool = True) -> AvailabilityModel:
+def build_pf_model(spec: ClusterSpec, rates: AvailRates, parallel_recovery: bool = True,
+                   depth: int | None = None) -> AvailabilityModel:
     """Passive-failover chain for the given cluster and rates.
 
     Cloud states are live-node counts 0..num: the unbounded pool makes it
     the ARA chain without extras.  On-premises states are ``(up, pool)``
     pairs reachable from the fully-provisioned start; broken nodes rejoin
     the pool only when ``rates.pool_repair_per_s`` is set.
+
+    ``depth``, a nonnegative integer below ``num``, cuts an on-premises
+    chain: it keeps the states with at most ``depth`` nodes awaiting
+    failover (``num - up``), and a crash past them goes to the absorbing
+    ``SINK``.  Without pool repair, every pool-exhausted state ``(up, 0)``
+    with ``up < num`` is lumped into the absorbing ``DOWN``, which is
+    exact: such a state only loses nodes.  Both count as down in
+    ``up_reward``, so from every start the cut chain's up-time is at most
+    the whole chain's, and that plus the time spent in ``SINK`` at least
+    it.  ``None``, a depth of ``num`` or more, and the cloud chain build
+    the whole chain.
     """
     if spec.technique != PF:
         raise ValueError(f"expected a {PF} cluster spec, got {spec.technique!r}")
+    if depth is not None:
+        _check_number("depth", depth, above=False, integer=True)
     num = spec.num
 
     if spec.deployment == CLOUD:
         ctmc = _birth_death(spec, num, rates, parallel_recovery)
-        live = ctmc.states
+        up = [u == num for u in ctmc.states]
     else:
         lam = rates.hw_crash_per_s
         rho = rates.crash_recovery_per_s
@@ -181,11 +208,28 @@ def build_pf_model(spec: ClusterSpec, rates: AvailRates,
             if repair is not None and broken > 0:
                 yield (u, p + 1), (broken * repair if parallel_recovery else repair)
 
+        if depth is not None and depth < num:
+            moves = _cut(moves, num, depth, lump=repair is None)
         ctmc = _explore((num, spec.pool), moves)
-        live = [u for u, _ in ctmc.states]
+        up = [s not in (SINK, DOWN) and s[0] == num for s in ctmc.states]
 
-    up = np.array([1.0 if u == num else 0.0 for u in live])
-    return AvailabilityModel(ctmc=ctmc, spec=spec, rates=rates, up_reward=up)
+    return AvailabilityModel(ctmc=ctmc, spec=spec, rates=rates,
+                             up_reward=np.array(up, dtype=float))
+
+
+def _cut(moves, num: int, depth: int, lump: bool):
+    """``moves`` of an on-premises PF chain cut at ``depth``: a move past it
+    lands in ``SINK`` and, with ``lump``, one to a pool-exhausted down
+    state in ``DOWN``; neither has moves."""
+    def cut_moves(state) -> Iterable[tuple[object, float]]:
+        if state in (SINK, DOWN):
+            return
+        for (u, p), rate in moves(state):
+            if lump and p == 0 and u < num:
+                yield DOWN, rate
+            else:
+                yield (SINK if num - u > depth else (u, p)), rate
+    return cut_moves
 
 
 def build_ara_model(spec: ClusterSpec, rates: AvailRates,
@@ -204,12 +248,15 @@ def build_availability_model(spec: ClusterSpec, rates: AvailRates,
     return builder(spec, rates, parallel_recovery)
 
 
-def _model_to_solve(spec: ClusterSpec, rates: AvailRates,
-                    parallel_recovery: bool = True) -> AvailabilityModel:
+def _model_to_solve(spec: ClusterSpec, rates: AvailRates, parallel_recovery: bool = True,
+                    depth: int | None = None) -> AvailabilityModel:
     """``build_availability_model`` for a chain that will be solved, refused
-    unbuilt when its dense solve would not fit in memory."""
+    unbuilt when the whole chain's dense solve would not fit in memory; a
+    ``depth`` builds the PF chain cut there (``build_pf_model``)."""
     n = _chain_shape(spec, rates)[0]
     _check_memory("solving", n, _dense_arrays(n))
+    if depth is not None:
+        return build_pf_model(spec, rates, parallel_recovery, depth)
     return build_availability_model(spec, rates, parallel_recovery)
 
 
@@ -269,7 +316,8 @@ _BUILD_BYTES = 1500
 
 
 def _explore(start, moves) -> Ctmc:
-    """Breadth-first reachability closure; states ordered lexicographically."""
+    """Breadth-first reachability closure; states ordered lexicographically,
+    then ``DOWN`` and ``SINK`` where reached."""
     seen = {start}
     frontier = deque([start])
     transitions = []
@@ -280,5 +328,7 @@ def _explore(start, moves) -> Ctmc:
             if target not in seen:
                 seen.add(target)
                 frontier.append(target)
-    dist = {s: (1.0 if s == start else 0.0) for s in sorted(seen)}
+    absorbing = [s for s in (DOWN, SINK) if s in seen]
+    dist = {s: (1.0 if s == start else 0.0)
+            for s in sorted(seen.difference(absorbing)) + absorbing}
     return build_ctmc(transitions, dist)

@@ -9,7 +9,8 @@ analyses the rest of the package needs:
   reward-weighted occupancy time over a finite horizon
   (availability-style rewards), from the initial distribution or from
   every start state.  Both are one kernel: the first is the initial
-  distribution times the second.
+  distribution times the second.  ``occupancy_from_each_start`` also
+  takes an n x k block of rewards, solved together.
 
 Each solve takes one of two routes, chosen by the state count alone.
 With ``q = 1.02 * max |diagonal|``, ``q*t`` bounds the expected number
@@ -28,9 +29,10 @@ beyond a logarithm.
 
       M(2t) = M(t) M(t)          c(2t) = c(t) + M(t) c(t)
 
-  Occupancy is carried as the n x 2 block ``c = [C r, C 1]``, where
-  ``C = int_0^dt exp(Q*s) ds`` is never formed.  All terms are
-  nonnegative, so the squaring never cancels, and the exact row-sum
+  Occupancy is carried as the n x (k + 1) block ``c = [C r_1 ... C r_k,
+  C 1]`` for k rewards, where ``C = int_0^dt exp(Q*s) ds`` is never
+  formed.  All terms are nonnegative, so the squaring never cancels, and
+  the exact row-sum
   identities (``M`` stochastic, ``C`` rows summing to the elapsed time)
   are restored after every level.  Entries of ``M`` below
   ``sqrt(tiny)`` are then flushed to zero, so no product is subnormal.
@@ -43,17 +45,22 @@ beyond a logarithm.
   fine run serving as the next coarse one, until runs of N and 2N steps
   agree.  Occupancy is integrated as the complement ``max(r) - r`` of
   the reward, so that the estimate is relative to the small
-  downtime-style quantity, down to the rounding floor of the LU solves.
+  downtime-style quantity, down to the rounding floor of the LU solves;
+  k rewards are k forcing columns against the same two factorizations.
 
 Accuracy is fixed, not a parameter, and both routes meet one bound:
 from every start, the occupancy complement ``max(r) * T - occupancy``
 is within ``max(1e-10 * complement, n * eps * max(r) * T)`` of its
 exact value, relative to the downtime-style quantity down to the
 rounding floor of an n-state solve (checked against 30-digit mpmath on
-both routes).  Each squaring base step drops 1e-15 of Poisson mass; the
+both routes); each column of a reward block meets it with its own
+``max(r)``.  Each squaring base step drops 1e-15 of Poisson mass; the
 implicit route stops once the estimated error of each complement is
 within ``_IMPLICIT_TOL`` (1e-10) of the larger of it and the floor, and
-that of each probability of a distribution within 1e-10.
+that of each probability of a distribution within 1e-10.  A horizon
+whose ``q*t`` is below the smallest normal float resolves no jump: its
+occupancy is ``r * t`` and its distribution the initial one, exact to
+rounding.
 
 The implicit route's floor of 48 steps and four complex factorizations
 costs more than the n**3 products of squaring on small chains, and less
@@ -105,7 +112,8 @@ _BASE_STEP_TOL = 1e-15          # Poisson mass dropped per base step
 _DENSE_ARRAYS = 3               # n x n float64 arrays a stiff solve may hold
 _SQUARING_MAX_N = 96            # larger chains take the implicit route
 _IMPLICIT_TOL = 1e-10           # implicit route's relative error bound
-_FLUSH = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154: squares stay normal
+_TINY = float(np.finfo(float).tiny)        # smallest normal float
+_FLUSH = math.sqrt(_TINY)                  # ~1.5e-154: squares stay normal
 _FLOAT_MAX = sys.float_info.max            # a Python float: compares exactly with any int
 
 # Radau IIA (four stages, order 7) on a linear system z' = A z advances a
@@ -259,7 +267,7 @@ def transient_distribution(ctmc: Ctmc, t: float) -> np.ndarray:
     units) from ``ctmc.initial``, aligned with ``ctmc.states``; it sums to one.
     A chain whose dense solve could exceed physical memory is refused."""
     q = _uniformization_rate(ctmc, t, allow_zero=True)
-    if t == 0.0 or q == 0.0:
+    if q * t < _TINY:
         return ctmc.initial.copy()
     _check_memory("solving", ctmc.n, _dense_arrays(ctmc.n))
     if _route(ctmc) == "squaring":
@@ -290,15 +298,20 @@ def occupancy_from_each_start(ctmc: Ctmc, reward: np.ndarray,
     that share one generator and differ only in the initial state (node
     pools of different depths, over-provisioning levels) read their whole
     sweep off this vector.
+
+    ``reward`` is one entry per state, or an ``(n, k)`` block of k reward
+    columns, answered as an ``(n, k)`` block from the same solve: each
+    column as accurate as its own one-column solve.
     """
-    return _occupancy(ctmc, reward, horizon)
+    return _occupancy(ctmc, reward, horizon, block=True)
 
 
-def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
+def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float,
+               block: bool = False) -> np.ndarray:
     """The one occupancy kernel: ``int_0^horizon exp(Q s) ds @ reward``."""
-    r = _check_reward(ctmc, reward)
+    r = _check_reward(ctmc, reward, block)
     q = _uniformization_rate(ctmc, horizon, allow_zero=False)
-    if q == 0.0:
+    if q * horizon < _TINY:
         return r * horizon
     _check_memory("solving", ctmc.n, _dense_arrays(ctmc.n))
     if _route(ctmc) == "squaring":
@@ -306,7 +319,7 @@ def _occupancy(ctmc: Ctmc, reward: np.ndarray, horizon: float) -> np.ndarray:
     else:
         occupancy = _implicit_occupancy(ctmc, r, horizon, q * horizon)
     # Either route can land an ulp outside the reward range.
-    return np.clip(occupancy, 0.0, r.max() * horizon)
+    return np.clip(occupancy, 0.0, r.max(axis=0) * horizon)
 
 
 def _check_number(name: str, value, least: float = 0.0, *, above: bool = True,
@@ -347,10 +360,14 @@ def _uniformization_rate(ctmc: Ctmc, t: float, allow_zero: bool) -> float:
     return q
 
 
-def _check_reward(ctmc: Ctmc, reward: np.ndarray) -> np.ndarray:
+def _check_reward(ctmc: Ctmc, reward: np.ndarray, block: bool = False) -> np.ndarray:
+    """``reward`` as floats: one entry per state, or with ``block`` also an
+    ``(n, k)`` array of k >= 1 reward columns."""
     r = np.asarray(reward, dtype=float)
-    if r.shape != (ctmc.n,):
-        raise ValueError(f"reward must have one entry per state ({ctmc.n}), "
+    if r.shape != (ctmc.n,) and not (block and r.ndim == 2 and r.shape[0] == ctmc.n
+                                     and r.shape[1] >= 1):
+        columns = " or an (n, k) block of k >= 1 columns" if block else ""
+        raise ValueError(f"reward must have one entry per state ({ctmc.n}){columns}, "
                          f"got shape {r.shape}")
     if not np.all(np.isfinite(r)) or np.any(r < 0):
         raise ValueError("reward entries must be finite and nonnegative")
@@ -398,10 +415,12 @@ def _implicit_occupancy(ctmc: Ctmc, reward: np.ndarray, t: float,
     met to ``noise`` rather than to ``_IMPLICIT_TOL`` of itself: a start
     absorbing at ``max(r)``, whose complement is exactly zero, or one
     holding so many spares that its complement is 1e-13 of ``max(r) * t``.
+    Each column of a reward block has its own ``max(r)`` and floor.
     """
-    top = float(reward.max())
+    top = reward.max(axis=0)
     noise = ctmc.n * np.finfo(float).eps * top * t
-    v = _radau(ctmc.generator, np.zeros(ctmc.n), t, qt, noise / _IMPLICIT_TOL, top - reward)
+    v = _radau(ctmc.generator, np.zeros(reward.shape), t, qt, noise / _IMPLICIT_TOL,
+               top - reward)
     return top * t - v
 
 
@@ -409,7 +428,10 @@ def _radau(a, z0: np.ndarray, t: float, qt: float, floor: float,
            forcing: np.ndarray | None = None) -> np.ndarray:
     """``z(t)`` of ``z' = a z + forcing`` by ``N`` equal Radau IIA steps.
 
-    ``a`` is a scipy sparse matrix, ``Q`` or its transpose.
+    ``a`` is a scipy sparse matrix, ``Q`` or its transpose.  ``z0`` and
+    ``forcing`` are one vector or ``(n, k)`` blocks of k columns, each
+    solve taking all k against the same factors; ``floor`` is a scalar
+    or one per column.
 
     A constant forcing is the augmented system ``[z, 1]' = [[a, forcing],
     [0, 0]] [z, 1]``; each shifted solve against it is eliminated by
@@ -471,11 +493,14 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
 
     One Poisson series builds both over the base step, and one loop
     doubles both.  The occupancy integral ``C`` is never formed: the
-    block ``c = [C r, C 1]`` doubles as ``c += M c``, ahead of ``M = M
-    M``.  ``transient_distribution`` passes a zero reward and reads ``M``.
+    block ``c = [C r, C 1]`` (``[C r_1 ... C r_k, C 1]`` for an ``(n, k)``
+    reward block) doubles as ``c += M c``, ahead of ``M = M M``.
+    ``transient_distribution`` passes a zero reward and reads ``M``.
     """
     n = ctmc.n
-    levels = _squaring_levels(q * t)
+    # Halving a subnormal horizon would round it, to zero at 5e-324; q*t
+    # is then below 4, so the whole horizon is one base step.
+    levels = _squaring_levels(q * t) if t >= _TINY else 0
     dt = t / (1 << levels)
 
     w, tails = _base_step_terms(q * dt)
@@ -490,7 +515,7 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
     power = np.eye(n)
     m_mat = np.zeros((n, n))
     u = np.column_stack([reward, np.ones(n)])
-    c = np.zeros((n, 2))
+    c = np.zeros(u.shape)
     for k in range(right + 1):
         m_mat += w[k] * power
         c += (tails[k] / q) * u
@@ -504,22 +529,24 @@ def _propagator(ctmc: Ctmc, q: float, t: float,
         m_mat = m_mat @ m_mat
         dt *= 2.0
         _restore(m_mat, c, dt)
-    return m_mat, c[:, 0]
+    return m_mat, c[:, :-1].reshape(reward.shape)
 
 
 def _restore(m_mat: np.ndarray, c: np.ndarray, elapsed: float) -> None:
     """Restore the row sums: ``M`` stochastic, ``C 1`` the elapsed time.
 
-    ``C r`` is rescaled by ``elapsed / C 1``, the row renormalisation of
-    ``C`` applied after the product with ``r``.  Entries of ``M`` below
+    Each ``C r`` is rescaled by ``elapsed / C 1``, the row renormalisation
+    of ``C`` applied after the product with ``r``.  Entries of ``M`` below
     ``_FLUSH`` then go to zero, so no product of two kept entries is
     subnormal, which would slow the next squaring several times over;
     the mass dropped is at most ``n * _FLUSH`` per row.
     """
     m_mat /= m_mat.sum(axis=1, keepdims=True)
     m_mat[m_mat < _FLUSH] = 0.0
-    c[:, 0] *= elapsed / c[:, 1]
-    c[:, 1] = elapsed
+    scale = elapsed / c[:, -1]
+    for j in range(c.shape[1] - 1):   # a column at a time: no broadcast
+        c[:, j] *= scale
+    c[:, -1] = elapsed
 
 
 def _dense_arrays(n: int) -> tuple[str, int, str]:

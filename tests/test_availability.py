@@ -19,7 +19,7 @@ from pcraft import (
     build_pf_model,
     nines,
 )
-from pcraft.availability import _chain_shape, _model_to_solve
+from pcraft.availability import DOWN, SINK, _chain_shape, _model_to_solve
 from pcraft.units import YEAR
 
 # (1 - exp(-1)): one-node on-premises interval availability at 1 crash/year.
@@ -116,6 +116,26 @@ class TestPfStateSpaces:
         # Repair lets the pool grow past its initial size while nodes are
         # down, up to the conserved total of 28: all (u, p) with u + p <= 28.
         assert model.ctmc.n == sum(29 - u for u in range(11))
+
+    def test_cut_chain_without_repair(self):
+        spec = ClusterSpec(PF, ON_PREMISES, num=15, pool=40)
+        model = build_pf_model(spec, AvailRates(6.0, 1.0 / 15.0), depth=4)
+        # (up, pool) with up >= 11 and pool >= 1, the all-up (15, 0), DOWN, SINK.
+        assert model.ctmc.n == 5 * 40 + 1 + 2 == 203
+        assert model.ctmc.states[-2:] == (DOWN, SINK)
+        assert model.ctmc.exit_rates[-2:].tolist() == [0.0, 0.0]
+        assert model.up_reward.sum() == 41.0 and model.up_reward[-2:].tolist() == [0.0, 0.0]
+        labels = [s for s in model.ctmc.states if s not in (DOWN, SINK)]
+        assert min(u for u, _ in labels) == 11
+        assert [s for s in labels if s[1] == 0] == [(15, 0)]
+
+    def test_cut_chain_with_repair(self):
+        rates = AvailRates(6.0, 1.0 / 15.0, pool_repair_per_s=1.0 / 3600.0)
+        model = build_pf_model(ClusterSpec(PF, ON_PREMISES, num=15, pool=1), rates, depth=6)
+        # u = 9..15, pool up to 16 - u: pool-exhausted states stay, and no DOWN.
+        assert model.ctmc.n == sum(17 - u for u in range(9, 16)) + 1 == 36
+        assert model.ctmc.states[-1] == SINK and DOWN not in model.ctmc.states
+        assert build_pf_model(ClusterSpec(PF, ON_PREMISES, num=15, pool=0), rates).ctmc.n == 136
 
     def test_cloud_pool_is_ignored(self):
         a = build_pf_model(ClusterSpec(PF, CLOUD, num=3, pool=0), FIFTEEN_S)
@@ -266,6 +286,14 @@ class TestValidation:
         monkeypatch.setattr(sys.modules["pcraft.availability"], "build_ctmc", build_ctmc)
         with pytest.raises(ValueError, match=r"\d{5}-state chain.*sert_multiplier"):
             _model_to_solve(spec, FIFTEEN_S)
+
+    def test_a_cut_chain_is_charged_at_its_whole_size(self, monkeypatch):
+        # Room for a 200-state solve: the cut chain fits, the whole one does not.
+        monkeypatch.setattr("pcraft.ctmc._physical_memory", lambda: 24 * 200**2)
+        spec = ClusterSpec(PF, ON_PREMISES, num=10, pool=60)
+        assert build_pf_model(spec, FIFTEEN_S, depth=1).ctmc.n == 123
+        with pytest.raises(ValueError, match=r"671-state chain"):
+            _model_to_solve(spec, FIFTEEN_S, depth=1)
 
     def test_builds_a_chain_too_large_to_solve(self, monkeypatch):
         # The public builder serves the simulator too, which has its own guard.

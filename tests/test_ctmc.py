@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import tracemalloc
@@ -402,6 +403,77 @@ class TestOccupancyFromEachStart:
         ones = np.ones(3)
         vec = occupancy_from_each_start(chain, ones, YEAR)
         assert np.allclose(vec, YEAR, rtol=1e-9)
+
+
+class TestRewardBlock:
+    """``occupancy_from_each_start`` on an (n, k) block of rewards."""
+
+    # 30 states take the squaring route, 150 the implicit one.
+    @pytest.mark.parametrize("n", [30, 150])
+    def test_each_column_matches_its_own_solve(self, n):
+        rng = np.random.default_rng(n)
+        chain = random_generator_chain(rng, n)
+        assert _route(chain) == ("squaring" if n <= 96 else "implicit")
+        block = np.column_stack([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 3.0, n)])
+        for horizon in (2.0, 500.0):
+            both = occupancy_from_each_start(chain, block, horizon)
+            assert both.shape == (n, 2)
+            for k in range(2):
+                alone = occupancy_from_each_start(chain, block[:, k], horizon)
+                top = block[:, k].max() * horizon
+                bound = np.maximum(1e-10 * (top - alone), n * np.finfo(float).eps * top)
+                assert np.all(np.abs(both[:, k] - alone) <= bound)
+
+    @pytest.mark.parametrize("n", [30, 150])
+    def test_one_entry_per_state_is_a_one_column_block_bit_for_bit(self, n):
+        rng = np.random.default_rng(n + 1)
+        chain = random_generator_chain(rng, n)
+        reward = rng.uniform(0.0, 1.0, n)
+        vector = occupancy_from_each_start(chain, reward, 40.0)
+        assert vector.shape == (n,)
+        assert np.array_equal(vector, occupancy_from_each_start(chain, reward[:, None], 40.0)[:, 0])
+
+    @pytest.mark.parametrize("shape", [(5, 0), (4, 2), (2, 5), (5, 2, 1), (6,)])
+    def test_wrong_shapes_are_refused(self, shape):
+        chain = random_generator_chain(np.random.default_rng(5), 5)
+        with pytest.raises(ValueError, match="^reward must have one entry per state"):
+            occupancy_from_each_start(chain, np.ones(shape), 1.0)
+
+    def test_only_the_per_start_solve_takes_a_block(self):
+        chain = two_state(1.0, 3.0)
+        with pytest.raises(ValueError, match="^reward must have one entry per state"):
+            cumulative_occupancy(chain, np.ones((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            occupancy_from_each_start(chain, np.array([[1.0, 0.0], [1.0, -1.0]]), 1.0)
+
+
+class TestSubnormalHorizon:
+    """A subnormal horizon, or one whose q*t is below the smallest normal
+    float, resolves no jump: the occupancy is the reward times the
+    horizon, to a few subnormal steps."""
+
+    CHAINS = ("two-state", "two-state at 1e16", "two-state at 1e-300", "100 states")
+
+    # At rates near 1e16, q*t is a normal float but the horizon is not;
+    # at 1e-300, q*t underflows to zero, at a normal horizon too.
+    @pytest.mark.parametrize("chain,horizon", [
+        *itertools.product(CHAINS, [5e-324, 1e-320]), ("two-state at 1e-300", 1e-30)])
+    def test_distribution_and_occupancy_stay_in_range(self, chain, horizon):
+        chain = {"two-state": lambda: two_state(1.0, 3.0),
+                 "two-state at 1e16": lambda: two_state(1e16, 3e16),
+                 "two-state at 1e-300": lambda: two_state(1e-300, 3e-300),
+                 "100 states": lambda: random_generator_chain(np.random.default_rng(1), 100),
+                 }[chain]()
+        n = chain.n
+        pi = transient_distribution(chain, horizon)
+        assert pi.min() >= 0.0 and pi.sum() == pytest.approx(1.0, abs=1e-15)
+        for reward in (indicator_reward(chain, lambda s: s == chain.states[0]),
+                       np.linspace(0.5, 2.0, n)):
+            top = reward.max() * horizon
+            each = occupancy_from_each_start(chain, reward, horizon)
+            assert np.all((each >= 0.0) & (each <= top))
+            assert np.all(np.abs(each - reward * horizon) <= 4 * 5e-324)
+            assert 0.0 <= cumulative_occupancy(chain, reward, horizon) <= top
 
 
 def pf_family(pool: int, recovery_s: float = 15.0, repair_per_h=None):

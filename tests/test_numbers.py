@@ -22,6 +22,7 @@ from pcraft import (
     ClusterSpec,
     PlanRequest,
     TransientSplit,
+    build_pf_model,
     cumulative_occupancy,
     degradation_ratios,
     derive_integrity_rates,
@@ -51,6 +52,9 @@ CASES = {
     "ClusterSpec.num": ("num", lambda v: ClusterSpec(ARA, CLOUD, num=v)),
     "ClusterSpec.op": ("op", lambda v: ClusterSpec(ARA, CLOUD, num=1, op=v)),
     "ClusterSpec.pool": ("pool", lambda v: ClusterSpec(PF, ON_PREMISES, num=1, pool=v)),
+    "build_pf_model.depth": (
+        "depth", lambda v: build_pf_model(ClusterSpec(PF, ON_PREMISES, num=3, pool=2), RATES,
+                                          depth=v)),
     "PlanRequest.target_nines": ("target_nines", lambda v: replace(REQUEST, target_nines=v)),
     "PlanRequest.horizon_s": ("horizon_s", lambda v: replace(REQUEST, horizon_s=v)),
     "PlanRequest.search_cap": ("search_cap", lambda v: replace(REQUEST, search_cap=v)),
@@ -104,7 +108,8 @@ def test_every_numeric_parameter_refuses_bools_strings_nan_and_inf(case, bad):
 
 # Counts take ints of any size; every other parameter is a float, and an
 # int too large for one is refused like an infinity.
-COUNTS = {"ClusterSpec.num", "ClusterSpec.op", "ClusterSpec.pool", "PlanRequest.search_cap",
+COUNTS = {"ClusterSpec.num", "ClusterSpec.op", "ClusterSpec.pool", "build_pf_model.depth",
+          "PlanRequest.search_cap",
           "simulate_ctmc.replications", "simulate_ctmc.seed"}
 
 

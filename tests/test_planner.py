@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy import integrate, stats
 
@@ -18,14 +20,22 @@ from pcraft import (
     NODE_VARIANTS,
     PF,
     AvailRates,
+    ClusterSpec,
     PlanRequest,
+    build_pf_model,
+    indicator_reward,
+    occupancy_from_each_start,
     plan_capacity,
     required_base_nodes,
 )
+from pcraft.availability import SINK
 from pcraft.config import ScenarioConfig
 from pcraft.planner import (
+    _FIRST_DEPTH,
+    _FIRST_DEPTH_REPAIR,
     _family_availabilities,
     _first_family_cap,
+    _pf_up_times,
     _unbounded_pool_availability,
 )
 from pcraft.suites import run_suite
@@ -218,7 +228,7 @@ class TestOnPremFamilies:
             req = replace(request(technique=technique, deployment=ON_PREMISES, sert=sert,
                                   crashes=crashes, recovery_s=recovery_s, search_cap=8),
                           horizon_s=horizon_s)
-            avails = _family_availabilities(
+            avails, _ = _family_availabilities(
                 req, required_base_nodes(sert, req.effective_ratio), 8)
             outside += [(horizon_s, crashes, recovery_s, sert, extra, avail)
                         for extra, avail in enumerate(avails)
@@ -339,6 +349,102 @@ class TestFirstFamilyCap:
         assert first == cap
         assert peak < 64 * 1024
         assert elapsed < 0.5
+
+
+class TestCertifiedDepth:
+    """On-premises PF chains solved cut at a depth: the sink's bracket holds
+    the whole chain's answer, and no plan answer moves."""
+
+    # crashes/yr x failover (s) x pool repair (per s) x horizon (s)
+    GRID = list(itertools.product((1.0, 6.0), (15.0, 60.0, 1800.0), (None, 1.0 / HOUR),
+                                  (2700.0 * HOUR, YEAR)))
+    NUM = 10
+
+    @staticmethod
+    def bound(horizon_s, up_time, n):
+        """The ``pcraft.ctmc`` docstring bound on an up-time from an n-state solve."""
+        return np.maximum(1e-10 * (horizon_s - up_time), n * np.finfo(float).eps * horizon_s)
+
+    @pytest.mark.parametrize("crashes,recovery_s,repair,horizon_s", GRID)
+    def test_whole_chain_lies_in_the_bracket(self, crashes, recovery_s, repair, horizon_s):
+        rates = AvailRates(crashes, 1.0 / recovery_s, repair)
+        first = _FIRST_DEPTH if repair is None else _FIRST_DEPTH_REPAIR
+        for pool in ((24,) if repair is None else (0, 1, 3)):
+            spec = ClusterSpec(PF, ON_PREMISES, num=self.NUM, pool=pool)
+            whole = build_pf_model(spec, rates)
+            exact = occupancy_from_each_start(whole.ctmc, whole.up_reward, horizon_s)
+            starts = ([(self.NUM, e) for e in range(pool + 1)] if repair is None
+                      else [(self.NUM, pool)])
+            exact = exact[[whole.ctmc.index_of(s) for s in starts]]
+            slack = self.bound(horizon_s, exact, whole.ctmc.n)
+            for depth in (2, first):    # a wide bracket, and the planner's first
+                cut = build_pf_model(spec, rates, depth=depth)
+                assert cut.ctmc.n < whole.ctmc.n
+                sink = indicator_reward(cut.ctmc, lambda s: s == SINK)
+                bracket = occupancy_from_each_start(
+                    cut.ctmc, np.column_stack([cut.up_reward, cut.up_reward + sink]),
+                    horizon_s)[[cut.ctmc.index_of(s) for s in starts]]
+                assert np.all(bracket[:, 0] - slack <= exact)
+                assert np.all(exact <= bracket[:, 1] + slack)
+            up, _ = _pf_up_times(
+                PlanRequest(PF, ON_PREMISES, "native", 1.0, 3.0, horizon_s, rates), spec,
+                starts)
+            assert np.all(np.abs(up - exact) <= 2.0 * slack)
+
+    @pytest.mark.parametrize("crashes,recovery_s,repair,horizon_s", GRID)
+    def test_plans_match_the_linear_scan(self, crashes, recovery_s, repair, horizon_s):
+        req = replace(request(technique=PF, deployment=ON_PREMISES, sert=10.0,
+                              crashes=crashes, recovery_s=recovery_s, repair_per_s=repair,
+                              search_cap=12),
+                      horizon_s=horizon_s)
+        fast = plan_capacity(req)
+        slow = plan_capacity(req, strategy="linear")
+        assert (fast.base, fast.extra, fast.feasible) == (self.NUM, slow.extra, slow.feasible)
+        if fast.evaluations > 1:    # else the unbounded-pool ceiling settled it
+            assert fast.availability == pytest.approx(slow.availability, rel=1e-12)
+
+    def test_an_uncertified_depth_doubles_and_each_chain_counts(self, monkeypatch):
+        # At 6 crashes/yr and 30-minute failover over 2700 h, depth 4 leaves
+        # a bracket wider than the bound; depth 8 certifies.
+        req = replace(request(technique=PF, deployment=ON_PREMISES, sert=10.0, crashes=6.0,
+                              recovery_s=1800.0, target=2.0, search_cap=16),
+                      horizon_s=2700.0 * HOUR)
+        depths, solves = [], []
+        availability_module = sys.modules["pcraft.availability"]   # the name is the function
+        build = availability_module.build_pf_model
+        solve = pcraft.planner.occupancy_from_each_start
+
+        def building(spec, rates, parallel_recovery=True, depth=None):
+            depths.append(depth)
+            return build(spec, rates, parallel_recovery, depth)
+
+        def solving(*args):
+            solves.append(args[0].n)
+            return solve(*args)
+
+        monkeypatch.setattr(availability_module, "build_pf_model", building)
+        monkeypatch.setattr(pcraft.planner, "occupancy_from_each_start", solving)
+        result = plan_capacity(req)
+        # The unbounded-pool ceiling (cloud, no depth), then the family twice.
+        assert depths == [None, _FIRST_DEPTH, 2 * _FIRST_DEPTH]
+        assert result.evaluations == 1 + len(solves) == 3
+        linear = plan_capacity(req, strategy="linear")
+        assert (result.extra, result.feasible) == (linear.extra, linear.feasible)
+        assert result.availability == pytest.approx(linear.availability, rel=1e-12)
+
+    @pytest.mark.parametrize("repair", [None, 1.0 / HOUR])
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("num,pool", [(1, 0), (3, 2), (5, 0), (5, 4)])
+    def test_a_depth_of_num_or_more_builds_the_whole_chain(self, num, pool, repair, parallel):
+        spec = ClusterSpec(PF, ON_PREMISES, num=num, pool=pool)
+        rates = AvailRates(6.0, 1.0 / 60.0, repair)
+        whole = build_pf_model(spec, rates, parallel)
+        for depth in (num, num + 1, 10 * num):
+            model = build_pf_model(spec, rates, parallel, depth)
+            assert model.ctmc.states == whole.ctmc.states
+            for name in ("rows", "cols", "rates", "initial", "exit_rates"):
+                assert np.array_equal(getattr(model.ctmc, name), getattr(whole.ctmc, name))
+            assert np.array_equal(model.up_reward, whole.up_reward)
 
 
 class TestReferenceTablesAtTwoCrashesPerYear:
